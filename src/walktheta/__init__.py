@@ -13,23 +13,21 @@ from .graphs import (
     strong_product,
 )
 from .spectral import SpectralData, cluster_weights, eig_sym
-from .walkgen import (
-    IntervalMin,
-    PoleProximityError,
-    WalkGenFunction,
-    build,
-    minimize_on_spectral_interval,
-    minimize_on_subinterval,
-    sample,
-)
 from .reciprocal import (
     CriticalReport,
+    PoleProximityError,
     ReciprocalSum,
     central_strip,
     enumerate_critical_points,
     has_critical_points,
     polynomial_critical_points,
     verify_duality,
+)
+from .walkgen import (
+    IntervalMin,
+    minimize_on_spectral_interval,
+    minimize_on_subinterval,
+    sample,
 )
 from .bounds import (
     BoundReport,

@@ -55,17 +55,14 @@ def hoffman_regular(g: Graph):
     """Ratio bound -n*lam_min/(lam_max - lam_min); defined for regular graphs with edges."""
     if not g.edges or not g.is_regular():
         return None
-    data = spectral.eig_sym(adjacency(g))
-    return float(-data.lam_min * g.n / (data.lam_max - data.lam_min))
+    return _hoffman(spectral.eig_sym(adjacency(g)))
 
 
 def walkgen_bound(g: Graph) -> float:
     """Minimum of the walk-generating function over [1/lam_min, 0]."""
     if not g.edges:
         return float(g.n)
-    a = adjacency(g)
-    lam_min = spectral.eig_sym(a).lam_min
-    return walkgen.minimize_on_subinterval(a, 1.0 / lam_min, 0.0).value
+    return _walkgen(spectral.eig_sym(adjacency(g)))
 
 
 def closed_form_bound(g: Graph):
@@ -76,8 +73,19 @@ def closed_form_bound(g: Graph):
     """
     if not g.edges:
         raise ValueError("closed-form bound needs a graph with at least one edge")
-    data = spectral.eig_sym(adjacency(g))
-    n = g.n
+    return _closed_form(spectral.eig_sym(adjacency(g)))
+
+
+def _hoffman(data: spectral.SpectralData) -> float:
+    return float(-data.lam_min * data.n / (data.lam_max - data.lam_min))
+
+
+def _walkgen(data: spectral.SpectralData) -> float:
+    return walkgen.minimize(data, hi=0.0).value
+
+
+def _closed_form(data: spectral.SpectralData) -> tuple:
+    n = data.n
     lam1, lamn = data.lam_max, data.lam_min
     w1 = 0.0
     for rep, weight in data.clusters:
@@ -109,15 +117,18 @@ def report(g: Graph, known_alpha: int = None) -> BoundReport:
     """Assemble all bounds and check dominance of the walkgen bound.
 
     When a known independence number is supplied, every computed bound must
-    cover it; a violation raises since it would falsify a theorem.
+    cover it; a violation raises since it would falsify a theorem. The
+    adjacency matrix is decomposed once and shared by the walkgen, ratio and
+    closed-form bounds.
     """
-    wg = walkgen_bound(g)
-    lap = laplacian_bound(g)
-    hoff = hoffman_regular(g)
     if g.edges:
-        cf_value, cf_condition = closed_form_bound(g)
+        data = spectral.eig_sym(adjacency(g))
+        wg = _walkgen(data)
+        hoff = _hoffman(data) if g.is_regular() else None
+        cf_value, cf_condition = _closed_form(data)
     else:
-        cf_value, cf_condition = None, None
+        wg, hoff, cf_value, cf_condition = float(g.n), None, None, None
+    lap = laplacian_bound(g)
     dominance_ok = wg <= lap + DOMINANCE_TOL
     if known_alpha is not None:
         for name, value in (("walkgen", wg), ("laplacian", lap),

@@ -6,13 +6,12 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import bounds, reciprocal, spectral, theta, walkgen
+from .corpus import fixture_graphs, random_graph, random_weighted
 from .graphs import (
-    Graph,
     Graph6ParseError,
     NAMED_GRAPHS,
     adjacency,
@@ -31,7 +30,10 @@ class InputError(Exception):
 
 def _read_graphs(args) -> list:
     if args.named:
-        return [generate_named(args.named, n=args.n, k=args.k)]
+        try:
+            return [generate_named(args.named, n=args.n, k=args.k)]
+        except ValueError as exc:
+            raise InputError(f"--named {args.named}: {exc}") from exc
     if not args.input:
         raise InputError("no input: give a file or --named NAME")
     path = args.input
@@ -72,92 +74,29 @@ def _emit(lines, args) -> None:
         out.write(line + "\n")
 
 
-def _map_jobs(fn, items, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_bounds(args) -> int:
-    graphs = _read_graphs(args)
-
-    def one(g: Graph) -> dict:
+    reports = []
+    for g in _read_graphs(args):
         alpha = None
         if args.alpha_oracle and g.n <= ALPHA_ORACLE_LIMIT:
             alpha = independence_number(g)
-        return bounds.report(g, known_alpha=alpha).to_json_dict()
-
-    reports = _map_jobs(one, graphs, args.jobs)
+        reports.append(bounds.report(g, known_alpha=alpha).to_json_dict())
     _emit([json.dumps(r) for r in reports], args)
     return 0 if all(r["dominance_ok"] for r in reports) else 1
 
 
 def cmd_theta(args) -> int:
-    graphs = _read_graphs(args)
-
-    def one(g: Graph) -> dict:
+    lines = []
+    for g in _read_graphs(args):
         est = theta.minimize_theta(
             g,
             max_iter=args.max_iter,
             stall_tol=args.tol,
             alpha_oracle=args.alpha_oracle and g.n <= ALPHA_ORACLE_LIMIT,
         )
-        return est.to_json_dict()
-
-    _emit([json.dumps(r) for r in _map_jobs(one, graphs, args.jobs)], args)
+        lines.append(json.dumps(est.to_json_dict()))
+    _emit(lines, args)
     return 0
-
-
-def _fixture_graphs() -> list:
-    named = [
-        ("K1", generate_named("empty", n=1)),
-        ("empty3", generate_named("empty", n=3)),
-        ("empty6", generate_named("empty", n=6)),
-        ("K2", generate_named("complete", n=2)),
-        ("K4", generate_named("complete", n=4)),
-        ("K6", generate_named("complete", n=6)),
-        ("C5", generate_named("cycle", n=5)),
-        ("C7", generate_named("cycle", n=7)),
-        ("P2", generate_named("path", n=2)),
-        ("P5", generate_named("path", n=5)),
-        ("P17", generate_named("path", n=17)),
-        ("petersen", generate_named("petersen")),
-        ("golomb", generate_named("golomb")),
-        ("star4", parse_edge_list("5 0 4 1 4 2 4 3 4")),
-    ]
-    return named
-
-
-def _random_graph(rng: np.random.Generator, n_max: int = 12) -> Graph:
-    n = int(rng.integers(1, n_max + 1))
-    p = float(rng.uniform(0.05, 0.9))
-    edges = {
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < p
-    }
-    g = Graph(n, frozenset(edges))
-    if rng.random() < 0.3:
-        g = g.add_isolated_vertex()
-    return g
-
-
-def _random_weighted(rng: np.random.Generator, n_min: int = 3, n_max: int = 10):
-    while True:
-        n = int(rng.integers(n_min, n_max + 1))
-        p = float(rng.uniform(0.2, 0.9))
-        edges = sorted(
-            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
-        )
-        if edges:
-            break
-    a = np.zeros((n, n))
-    for i, j in edges:
-        w = float(rng.uniform(0.2, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0)
-        a[i, j] = a[j, i] = w
-    return a
 
 
 def _suite_duality(count: int, seed: int, emit) -> int:
@@ -179,7 +118,7 @@ def _suite_scaling(count: int, seed: int, emit) -> int:
     rng = np.random.default_rng(seed)
     failures = 0
     for i in range(count):
-        a = _random_weighted(rng)
+        a = random_weighted(rng)
         _, scaled = theta.optimal_scaling(a)
         direct = walkgen.minimize_on_spectral_interval(a).value
         ok = abs(scaled - direct) <= 1e-6
@@ -195,7 +134,7 @@ def _suite_product(seed: int, emit) -> int:
         ("K4", "P2"), ("C7", "K2"), ("P5", "P5"), ("K2", "C5"),
         ("empty3", "empty6"), ("star4", "K2"),
     ]
-    fixtures = dict(_fixture_graphs())
+    fixtures = dict(fixture_graphs())
     failures = 0
     for i, (a, b) in enumerate(pairs):
         try:
@@ -214,9 +153,9 @@ def _suite_product(seed: int, emit) -> int:
 def _suite_dominance(graphs, count: int, seed: int, emit) -> int:
     if graphs is None:
         rng = np.random.default_rng(seed)
-        graphs = [g for _, g in _fixture_graphs()]
+        graphs = [g for _, g in fixture_graphs()]
         while len(graphs) < count:
-            graphs.append(_random_graph(rng))
+            graphs.append(random_graph(rng))
     failures = 0
     for i, g in enumerate(graphs):
         r = bounds.report(g)
@@ -228,8 +167,8 @@ def _suite_dominance(graphs, count: int, seed: int, emit) -> int:
 
 def _suite_optimizer(count: int, seed: int, emit) -> int:
     rng = np.random.default_rng(seed)
-    mats = [adjacency(g) for _, g in _fixture_graphs()]
-    mats += [_random_weighted(rng) for _ in range(count)]
+    mats = [adjacency(g) for _, g in fixture_graphs()]
+    mats += [random_weighted(rng) for _ in range(count)]
     failures = 0
     for i, a in enumerate(mats):
         cert = theta.extract_optimizer(a)
@@ -273,12 +212,13 @@ def cmd_plot(args) -> int:
     graphs = _read_graphs(args)
     if len(graphs) != 1:
         raise InputError("plot needs exactly one graph")
+    if args.samples < 2:
+        raise InputError("plot needs --samples of at least 2")
     g = graphs[0]
-    a = adjacency(g)
-    fn = walkgen.build(a)
+    data = spectral.eig_sym(adjacency(g))
+    fn = reciprocal.ReciprocalSum.from_spectral(data)
     lines = []
     if g.edges:
-        data = spectral.eig_sym(a)
         lo_mark, hi_mark = 1.0 / data.lam_min, 1.0 / data.lam_max
         lines.append("# lam_min_inv,%.12g" % lo_mark)
         lines.append("# lam_max_inv,%.12g" % hi_mark)
@@ -316,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--alpha-oracle", action="store_true",
                    help=f"attach exact independence number for n <= {ALPHA_ORACLE_LIMIT}")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("theta", help="per-graph theta estimates as JSON lines")
@@ -324,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-6, help="stall tolerance")
     p.add_argument("--max-iter", type=int, default=5000)
     p.add_argument("--alpha-oracle", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -356,8 +293,9 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     except ValueError as exc:
+        # a numerical failure (LinAlgError) or a bound below a known alpha
         print(str(exc), file=sys.stderr)
-        return 2
+        return 1
 
 
 if __name__ == "__main__":

@@ -1,21 +1,25 @@
-"""Critical-point analysis of positive-weight sums of linear reciprocals.
+"""Positive-weight sums of linear reciprocals and their critical points.
 
-Functions f(x) = sum(alpha_i / (1 - beta_i x)) with alpha_i > 0 have at most
-2(N - 1) critical points; when the pole rates carry both signs, the critical
-point with the largest f-value is the unique minimum of f on the central
-strip between the extreme reciprocal poles. Two independent root finders are
-provided: a dense-scan-plus-bisection enumerator and a companion-matrix
-polynomial solver, so tests can cross-check them.
+`ReciprocalSum` is f(x) = sum(w_i / (1 - b_i x)) with w_i > 0. Built from a
+symmetric matrix's eigenvalue clusters it is the walk-generating function
+<1, (I - xA)^-1 1>. Such sums have at most 2(N - 1) critical points; when
+the pole rates carry both signs, the critical point with the largest
+f-value is the unique minimum of f on the central strip between the extreme
+reciprocal poles. Two independent root finders are provided: a
+dense-scan-plus-bisection enumerator and a companion-matrix polynomial
+solver, so tests can cross-check them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "ReciprocalSum",
+    "PoleProximityError",
     "CriticalReport",
     "has_critical_points",
     "central_strip",
@@ -25,6 +29,7 @@ __all__ = [
     "random_instance",
 ]
 
+POLE_TOL = 1e-9           # relative half-width of the excluded zone around each pole
 SCAN_SAMPLES = 10_001     # grid points per pole-free interval
 TAIL_SAMPLES = 10_001
 TAIL_REACH = 1e6          # outer tails extend this factor beyond the pole hull
@@ -33,34 +38,59 @@ EQ_TOL = 1e-8             # relative tolerance for the duality value comparison
 POLE_MARGIN = 1e-7
 
 
+class PoleProximityError(ValueError):
+    """Evaluation point is too close to a reciprocal pole."""
+
+    def __init__(self, x: float, pole: float):
+        super().__init__(f"x = {x} is within tolerance of the pole at {pole}")
+        self.x = x
+        self.pole = pole
+
+
 @dataclass(frozen=True)
 class ReciprocalSum:
-    """Weights (all positive) and distinct pole rates in descending order."""
+    """Sum of weight / (1 - rate * x) terms; weights positive, rates distinct.
 
-    alphas: tuple
-    betas: tuple
+    Terms are stored in ascending rate order whatever order they are given
+    in. `poles` holds the finite poles 1 / rate, ascending. n_total is the
+    dimension of the matrix the sum came from (its value when constant);
+    it is None for a sum given by its terms.
+    """
+
+    weights: tuple
+    rates: tuple
+    n_total: float = None
+    poles: tuple = field(init=False, repr=False, compare=False)
+    _slopes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        alphas = tuple(float(a) for a in self.alphas)
-        betas = tuple(float(b) for b in self.betas)
-        if len(alphas) != len(betas):
-            raise ValueError("alphas and betas must have equal length")
-        if not alphas:
-            raise ValueError("need at least one term")
-        if any(a <= 0 for a in alphas):
+        weights = tuple(float(a) for a in self.weights)
+        rates = tuple(float(b) for b in self.rates)
+        if len(weights) != len(rates):
+            raise ValueError("weights and rates must have equal length")
+        if any(a <= 0 for a in weights):
             raise ValueError("all weights must be strictly positive")
-        order = sorted(range(len(betas)), key=lambda i: -betas[i])
-        betas_sorted = tuple(betas[i] for i in order)
-        if any(b <= c for b, c in zip(betas_sorted, betas_sorted[1:])):
+        order = sorted(range(len(rates)), key=rates.__getitem__)
+        rates = tuple(rates[i] for i in order)
+        if any(b >= c for b, c in zip(rates, rates[1:])):
             raise ValueError("pole rates must be distinct")
-        object.__setattr__(self, "alphas", tuple(alphas[i] for i in order))
-        object.__setattr__(self, "betas", betas_sorted)
+        weights = tuple(weights[i] for i in order)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "poles", tuple(sorted(1.0 / b for b in rates if b != 0.0)))
+        object.__setattr__(self, "_slopes", tuple(a * b for a, b in zip(weights, rates)))
 
     @classmethod
-    def from_terms(cls, alphas, betas) -> "ReciprocalSum":
+    def from_spectral(cls, data) -> "ReciprocalSum":
+        """Walk-generating function of a decomposed symmetric matrix (`spectral.SpectralData`)."""
+        return cls(tuple(w for _, w in data.clusters), tuple(r for r, _ in data.clusters),
+                   float(data.n))
+
+    @classmethod
+    def from_terms(cls, weights, rates) -> "ReciprocalSum":
         """Normalize arbitrary terms: drop zero weights, merge equal rates."""
         merged = {}
-        for a, b in zip(alphas, betas):
+        for a, b in zip(weights, rates):
             if a < 0:
                 raise ValueError("weights must be nonnegative")
             if a > 0:
@@ -69,24 +99,40 @@ class ReciprocalSum:
 
     @property
     def order(self) -> int:
-        return len(self.alphas)
+        return len(self.weights)
 
-    def poles(self) -> tuple:
-        return tuple(1.0 / b for b in self.betas if b != 0.0)
+    def near_pole(self, x: float, tol: float = POLE_TOL) -> bool:
+        """True when x lies within tol * (1 + |x|) of a pole."""
+        poles = self.poles
+        i = bisect_left(poles, x)
+        reach = tol * (1.0 + abs(x))
+        return (i < len(poles) and poles[i] - x <= reach) or (i > 0 and x - poles[i - 1] <= reach)
+
+    def _pole_error(self, x: float) -> PoleProximityError:
+        return PoleProximityError(x, min(self.poles, key=lambda p: abs(x - p)))
 
     def value(self, x: float) -> float:
-        return float(sum(a / (1.0 - b * x) for a, b in zip(self.alphas, self.betas)))
+        if self.near_pole(x):
+            raise self._pole_error(x)
+        return sum((a / (1.0 - b * x) for a, b in zip(self.weights, self.rates)), 0.0)
 
     def derivative(self, x: float) -> float:
-        return float(sum(a * b / (1.0 - b * x) ** 2 for a, b in zip(self.alphas, self.betas)))
+        if self.near_pole(x):
+            raise self._pole_error(x)
+        return sum((c / (1.0 - b * x) ** 2 for c, b in zip(self._slopes, self.rates)), 0.0)
 
     def second_derivative(self, x: float) -> float:
-        return float(sum(2.0 * a * b * b / (1.0 - b * x) ** 3 for a, b in zip(self.alphas, self.betas)))
+        return float(sum(2.0 * a * b * b / (1.0 - b * x) ** 3 for a, b in zip(self.weights, self.rates)))
+
+    def derivative_scale(self) -> float:
+        return float(sum(abs(c) for c in self._slopes))
 
     def derivative_grid(self, xs: np.ndarray) -> np.ndarray:
-        a = np.asarray(self.alphas)[:, None]
-        b = np.asarray(self.betas)[:, None]
-        return np.sum(a * b / (1.0 - b * xs[None, :]) ** 2, axis=0)
+        d = np.multiply.outer(self.rates, xs)
+        np.subtract(1.0, d, out=d)
+        np.square(d, out=d)
+        np.divide(np.asarray(self._slopes)[:, None], d, out=d)
+        return d.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -102,14 +148,14 @@ class CriticalReport:
 
 def has_critical_points(f: ReciprocalSum) -> bool:
     """True iff the rates carry both signs, or the function is constant."""
-    if any(b < 0 for b in f.betas) and any(b > 0 for b in f.betas):
+    if f.rates and f.rates[0] < 0.0 < f.rates[-1]:
         return True
-    return set(f.betas) == {0.0}
+    return set(f.rates) == {0.0}
 
 
 def central_strip(f: ReciprocalSum):
     """Open interval between the extreme reciprocal poles, when both signs occur."""
-    b_max, b_min = f.betas[0], f.betas[-1]
+    b_min, b_max = f.rates[0], f.rates[-1]
     if b_min < 0.0 < b_max:
         return (1.0 / b_min, 1.0 / b_max)
     return None
@@ -147,9 +193,9 @@ def enumerate_critical_points(f: ReciprocalSum, x_range: tuple = None) -> list:
     The scan covers every pole-free interval of the given range (default: the
     pole hull with margin) plus geometric outer tails.
     """
-    if set(f.betas) <= {0.0}:
+    if set(f.rates) <= {0.0}:
         return []
-    poles = sorted(f.poles())
+    poles = list(f.poles)
     span = poles[-1] - poles[0] + 1.0
     if x_range is None:
         lo = poles[0] - 0.5 * span - 1.0
@@ -185,9 +231,9 @@ def polynomial_critical_points(f: ReciprocalSum) -> list:
     Independent of the scanning enumerator; returns bare x locations.
     """
     coeffs = np.zeros(1)
-    for i, (a, b) in enumerate(zip(f.alphas, f.betas)):
+    for i, (a, b) in enumerate(zip(f.weights, f.rates)):
         term = np.array([a * b])
-        for j, c in enumerate(f.betas):
+        for j, c in enumerate(f.rates):
             if j != i:
                 factor = np.array([1.0, -c])
                 term = np.polynomial.polynomial.polymul(
@@ -205,7 +251,7 @@ def polynomial_critical_points(f: ReciprocalSum) -> list:
         if abs(r.imag) > 1e-8 * (1.0 + abs(r.real)):
             continue
         x = float(r.real)
-        if any(abs(x - p) <= POLE_MARGIN * (1.0 + abs(p)) for p in f.poles()):
+        if any(abs(x - p) <= POLE_MARGIN * (1.0 + abs(p)) for p in f.poles):
             continue
         out.append(x)
     return sorted(out)
@@ -256,16 +302,16 @@ def random_instance(rng: np.random.Generator) -> ReciprocalSum:
     n = int(rng.integers(2, 7))
     mixed = rng.random() < 0.5
     while True:
-        betas = rng.uniform(-5.0, 5.0, size=n)
+        rates = rng.uniform(-5.0, 5.0, size=n)
         if mixed:
             # both signs present: the duality branch of the theorem applies
-            betas[0] = rng.uniform(0.2, 5.0)
-            betas[-1] = -rng.uniform(0.2, 5.0)
+            rates[0] = rng.uniform(0.2, 5.0)
+            rates[-1] = -rng.uniform(0.2, 5.0)
         else:
             sign = 1.0 if rng.random() < 0.5 else -1.0
-            betas = sign * np.abs(betas)
-        b = np.sort(betas)
+            rates = sign * np.abs(rates)
+        b = np.sort(rates)
         if np.min(np.abs(b)) > 1e-2 and (n == 1 or np.min(np.diff(b)) > 1e-3):
             break
-    alphas = rng.uniform(0.1, 10.0, size=n)
-    return ReciprocalSum(tuple(alphas), tuple(betas))
+    weights = rng.uniform(0.1, 10.0, size=n)
+    return ReciprocalSum(tuple(weights), tuple(rates))

@@ -17,17 +17,19 @@ TOL_WEIGHT = 1e-9
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues (ascending), orthonormal eigenvector columns, and weight clusters.
+    """Eigenvalues (ascending), orthonormal eigenvector columns, weight clusters and norm.
 
     Each cluster is a pair (representative eigenvalue, summed squared overlap
     of the all-ones vector with the cluster's eigenvectors). Clusters whose
     weight vanishes numerically are dropped, so the surviving weights are
-    strictly positive and sum to n up to roundoff.
+    strictly positive and sum to n up to roundoff. `norm` is the Frobenius
+    norm of the decomposed matrix.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     clusters: tuple
+    norm: float
 
     @property
     def n(self) -> int:
@@ -56,7 +58,7 @@ def eig_sym(m: np.ndarray) -> SpectralData:
     m = _check_symmetric(m)
     n = m.shape[0]
     if n == 0:
-        return SpectralData(np.zeros(0), np.zeros((0, 0)), ())
+        return SpectralData(np.zeros(0), np.zeros((0, 0)), (), 0.0)
     vals, vecs = np.linalg.eigh(m)
     scale = float(np.linalg.norm(m))
     resid = float(np.max(np.abs(m @ vecs - vecs * vals)))
@@ -64,7 +66,7 @@ def eig_sym(m: np.ndarray) -> SpectralData:
         raise np.linalg.LinAlgError(
             f"eigendecomposition residual {resid:.3e} exceeds tolerance at scale {scale:.3e}"
         )
-    data = SpectralData(vals, vecs, ())
+    data = SpectralData(vals, vecs, (), scale)
     object.__setattr__(data, "clusters", cluster_weights(data))
     return data
 

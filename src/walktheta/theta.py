@@ -18,6 +18,7 @@ import numpy as np
 from . import spectral, walkgen
 from .graphs import Graph, strong_product
 from .independent_set import independence_number
+from .reciprocal import ReciprocalSum
 
 __all__ = [
     "WeightedAdjacency",
@@ -250,12 +251,7 @@ def extract_optimizer(a: np.ndarray) -> OptimizerVector:
         v = np.ones(n)
         return _certify(v, a)
     data = spectral.eig_sym(a)
-    fn = walkgen.WalkGenFunction(
-        tuple(w for _, w in data.clusters),
-        tuple(r for r, _ in data.clusters),
-        float(n),
-    )
-    opt = walkgen.minimize_on_spectral_interval(a)
+    opt = walkgen.minimize(data)
     y = opt.x_star
     if not opt.at_endpoint:
         v = np.linalg.solve(np.eye(n) - y * a, np.ones(n))
@@ -268,7 +264,8 @@ def extract_optimizer(a: np.ndarray) -> OptimizerVector:
     denom = np.where(in_cluster, 1.0, 1.0 - vals * y)
     coeff = np.where(in_cluster, 0.0, overlaps / denom)
     v = vecs @ coeff
-    kick = math.sqrt(max(0.0, -y * fn.derivative(y)))
+    # at an endpoint minimum derivative_at_x is W'(y), evaluated at y itself
+    kick = math.sqrt(max(0.0, -y * opt.derivative_at_x))
     v = v + kick * vecs[:, int(np.argmax(in_cluster))]
     return _certify(v, a)
 
@@ -280,9 +277,12 @@ def _certify(v: np.ndarray, a: np.ndarray) -> OptimizerVector:
     return OptimizerVector(v, norm_sq, residual_orth, residual_sphere)
 
 
-def _gamma_band(data: spectral.SpectralData) -> tuple:
+def _check_shift(name: str, data: spectral.SpectralData, gamma: float) -> None:
     # valid gammas make A + gamma*I semidefinite: outside (-lam_max, -lam_min)
-    return -data.lam_max, -data.lam_min
+    band_lo, band_hi = -data.lam_max, -data.lam_min
+    slack = 1e-9 * (1.0 + abs(band_lo) + abs(band_hi))
+    if band_lo + slack < gamma < band_hi - slack:
+        raise ValueError(f"{name} = {gamma} lies in the forbidden band ({band_lo}, {band_hi})")
 
 
 def product_adjacency(
@@ -297,46 +297,40 @@ def product_adjacency(
     eigenvalue pairs. Each gamma must avoid the open band where the shifted
     factor is indefinite.
     """
-    ag, ah = wa_g.matrix(), wa_h.matrix()
-    for name, mat, gamma in (("gamma_g", ag, gamma_g), ("gamma_h", ah, gamma_h)):
-        band_lo, band_hi = _gamma_band(spectral.eig_sym(mat))
-        slack = 1e-9 * (1.0 + abs(band_lo) + abs(band_hi))
-        if band_lo + slack < gamma < band_hi - slack:
-            raise ValueError(
-                f"{name} = {gamma} lies in the forbidden band ({band_lo}, {band_hi})"
-            )
+    data_g, data_h = spectral.eig_sym(wa_g.matrix()), spectral.eig_sym(wa_h.matrix())
+    return _shifted_product(wa_g, data_g, gamma_g, wa_h, data_h, gamma_h)
+
+
+def _shifted_product(wa_g, data_g, gamma_g, wa_h, data_h, gamma_h) -> WeightedAdjacency:
+    """product_adjacency for factors whose matrices are already decomposed."""
+    _check_shift("gamma_g", data_g, gamma_g)
+    _check_shift("gamma_h", data_h, gamma_h)
     ng, nh = wa_g.graph.n, wa_h.graph.n
-    m = np.kron(ag + gamma_g * np.eye(ng), ah + gamma_h * np.eye(nh))
+    m = np.kron(wa_g.matrix() + gamma_g * np.eye(ng), wa_h.matrix() + gamma_h * np.eye(nh))
     m -= gamma_g * gamma_h * np.eye(ng * nh)
     product = strong_product(wa_g.graph, wa_h.graph)
     weights = tuple(float(m[i, j]) for i, j in sorted(product.edges))
     return WeightedAdjacency(product, weights)
 
 
-def _interval_min_value(a: np.ndarray) -> float:
-    return walkgen.minimize_on_spectral_interval(a).value
-
-
-def _valid_gamma_samples(a: np.ndarray, k: int, rng: np.random.Generator = None):
+def _valid_gamma_samples(data: spectral.SpectralData, k: int, rng: np.random.Generator = None):
     """Gammas of the form -1/x for x inside the spectral interval (always valid)."""
-    norm = float(np.linalg.norm(a))
-    if norm <= walkgen.ZERO_NORM:
+    if data.norm <= walkgen.ZERO_NORM:
         if rng is None:
             return [1.0, -1.0][: max(1, k)] if k <= 2 else [1.0, -1.0] + list(np.linspace(0.5, 2.0, k - 2))
         return list(rng.uniform(0.5, 2.0, size=k))
-    data = spectral.eig_sym(a)
     lo, hi = 1.0 / data.lam_min, 1.0 / data.lam_max
     width = hi - lo
     xs = []
-    opt = walkgen.minimize_on_spectral_interval(a)
     if rng is None:
         grid = np.concatenate([
             np.linspace(lo, -1e-3 * width, k // 2 + 1),
             np.linspace(1e-3 * width, hi, k - k // 2),
         ])
         xs = [float(x) for x in grid]
-        if math.isfinite(opt.x_star) and abs(opt.x_star) > 1e-6 * width:
-            xs.append(opt.x_star)
+        x_star = walkgen.minimize(data).x_star
+        if math.isfinite(x_star) and abs(x_star) > 1e-6 * width:
+            xs.append(x_star)
     else:
         while len(xs) < k:
             x = float(rng.uniform(lo + 1e-3 * width, hi - 1e-3 * width))
@@ -359,28 +353,32 @@ def submultiplicativity_check(
     over a grid of valid shift pairs. rhs: product of the factors' interval
     minima. Also spot-checks the factorization identity
     W_product(-1/(gamma_g*gamma_h)) = W_g(-1/gamma_g) * W_h(-1/gamma_h)
-    at `n_random` random valid shift pairs.
+    at `n_random` random valid shift pairs. Each factor is decomposed once.
     """
     wa_g = WeightedAdjacency.unweighted(g)
     wa_h = WeightedAdjacency.unweighted(h)
-    ag, ah = wa_g.matrix(), wa_h.matrix()
-    rhs = _interval_min_value(ag) * _interval_min_value(ah)
+    data_g, data_h = spectral.eig_sym(wa_g.matrix()), spectral.eig_sym(wa_h.matrix())
+
+    def product(gg: float, gh: float) -> np.ndarray:
+        return _shifted_product(wa_g, data_g, gg, wa_h, data_h, gh).matrix()
+
+    rhs = walkgen.minimize(data_g).value * walkgen.minimize(data_h).value
     lhs = math.inf
-    for gg in _valid_gamma_samples(ag, grid):
-        for gh in _valid_gamma_samples(ah, grid):
+    grid_h = _valid_gamma_samples(data_h, grid)
+    for gg in _valid_gamma_samples(data_g, grid):
+        for gh in grid_h:
             if abs(gg * gh) < 1e-12:
                 continue
-            wa_p = product_adjacency(wa_g, wa_h, gg, gh)
-            lhs = min(lhs, _interval_min_value(wa_p.matrix()))
+            lhs = min(lhs, walkgen.minimize_on_spectral_interval(product(gg, gh)).value)
     rng = np.random.default_rng(seed)
+    w_g, w_h = ReciprocalSum.from_spectral(data_g), ReciprocalSum.from_spectral(data_h)
     for gg, gh in zip(
-        _valid_gamma_samples(ag, n_random, rng),
-        _valid_gamma_samples(ah, n_random, rng),
+        _valid_gamma_samples(data_g, n_random, rng),
+        _valid_gamma_samples(data_h, n_random, rng),
     ):
-        wa_p = product_adjacency(wa_g, wa_h, gg, gh)
         x_p = -1.0 / (gg * gh)
-        left = walkgen.build(wa_p.matrix()).value(x_p)
-        right = walkgen.build(ag).value(-1.0 / gg) * walkgen.build(ah).value(-1.0 / gh)
+        left = ReciprocalSum.from_spectral(spectral.eig_sym(product(gg, gh))).value(x_p)
+        right = w_g.value(-1.0 / gg) * w_h.value(-1.0 / gh)
         if abs(left - right) > identity_tol * (1.0 + abs(right)):
             raise AssertionError(
                 f"factorization identity failed at gammas ({gg}, {gh}): {left} vs {right}"

@@ -1,4 +1,9 @@
-"""Walk-generating functions of weighted adjacency matrices and their interval minima."""
+"""Interval minima of walk-generating functions W_A(x) = <1, (I - xA)^-1 1>.
+
+The function itself is `reciprocal.ReciprocalSum.from_spectral(data)`; this
+module minimizes it over the spectral interval [1/lam_min, 1/lam_max] or a
+part of it, and samples it for plotting.
+"""
 
 from __future__ import annotations
 
@@ -8,12 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral
+from .reciprocal import POLE_TOL, ReciprocalSum
 
 __all__ = [
-    "WalkGenFunction",
     "IntervalMin",
-    "PoleProximityError",
-    "build",
+    "minimize",
     "minimize_on_spectral_interval",
     "minimize_on_subinterval",
     "sample",
@@ -23,60 +27,9 @@ __all__ = [
 # convention makes the interval minimum equal n with an infinite sentinel x.
 ZERO_NORM = 1e-12
 
-POLE_TOL = 1e-9       # relative half-width of the excluded zone around each pole
 WALL_TOL = 1e-6       # endpoint counts as a pole wall within this relative distance
 X_TOL = 1e-12         # relative bisection tolerance on x
 DERIV_TOL = 1e-10     # relative bisection tolerance on the derivative
-
-
-class PoleProximityError(ValueError):
-    """Evaluation point is too close to a reciprocal pole."""
-
-    def __init__(self, x: float, pole: float):
-        super().__init__(f"x = {x} is within tolerance of the pole at {pole}")
-        self.x = x
-        self.pole = pole
-
-
-@dataclass(frozen=True)
-class WalkGenFunction:
-    """Sum of weight / (1 - rate * x) terms; weights positive, rates ascending.
-
-    Terms come from the surviving eigenvalue clusters of a symmetric matrix,
-    so removable singularities are already gone. n_total records the matrix
-    dimension (the value the function takes when it is constant).
-    """
-
-    weights: tuple
-    rates: tuple
-    n_total: float
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.rates):
-            raise ValueError("weights and rates must have equal length")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("all weights must be strictly positive")
-        if any(b >= c for b, c in zip(self.rates, self.rates[1:])):
-            raise ValueError("rates must be strictly ascending")
-
-    def poles(self) -> tuple:
-        return tuple(1.0 / b for b in self.rates if b != 0.0)
-
-    def _guard(self, x: float) -> None:
-        for p in self.poles():
-            if abs(x - p) <= POLE_TOL * (1.0 + abs(x)):
-                raise PoleProximityError(x, p)
-
-    def value(self, x: float) -> float:
-        self._guard(x)
-        return float(sum(a / (1.0 - b * x) for a, b in zip(self.weights, self.rates)))
-
-    def derivative(self, x: float) -> float:
-        self._guard(x)
-        return float(sum(a * b / (1.0 - b * x) ** 2 for a, b in zip(self.weights, self.rates)))
-
-    def derivative_scale(self) -> float:
-        return float(sum(abs(a * b) for a, b in zip(self.weights, self.rates)))
 
 
 @dataclass(frozen=True)
@@ -92,30 +45,28 @@ class IntervalMin:
     derivative_at_x: float
 
 
-def build(a: np.ndarray) -> WalkGenFunction:
-    """Walk-generating function of a symmetric matrix, via its weight clusters."""
-    data = spectral.eig_sym(a)
-    weights = tuple(w for _, w in data.clusters)
-    rates = tuple(r for r, _ in data.clusters)
-    return WalkGenFunction(weights, rates, float(data.n))
+def minimize(data: spectral.SpectralData, lo: float = -math.inf, hi: float = math.inf) -> IntervalMin:
+    """Minimum of the walk-generating function of `data` on [lo, hi], clipped to the spectral interval.
 
-
-def _near_pole(x: float, fn: WalkGenFunction, tol: float) -> bool:
-    return any(abs(x - p) <= tol * (1.0 + abs(x)) for p in fn.poles())
-
-
-def _minimize(fn: WalkGenFunction, lo: float, hi: float) -> IntervalMin:
-    """Minimum of a convex fn on [lo, hi]; endpoints sitting on poles are +inf walls."""
+    The spectral interval is [1/lam_min, 1/lam_max]; the function is convex
+    there, and endpoints sitting on poles are +inf walls.
+    A numerically zero matrix yields value n at the infinite sentinel x.
+    """
+    if data.norm <= ZERO_NORM:
+        return IntervalMin(math.inf, float(data.n), False, 0.0)
+    lo = max(lo, 1.0 / data.lam_min)
+    hi = min(hi, 1.0 / data.lam_max)
     if lo > hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
+    fn = ReciprocalSum.from_spectral(data)
     if not fn.rates or all(b == 0.0 for b in fn.rates):
         x0 = min(max(0.0, lo), hi)
         return IntervalMin(x0, fn.n_total, False, 0.0)
     if hi - lo <= X_TOL * max(1.0, abs(lo), abs(hi)):
         x0 = 0.5 * (lo + hi)
         return IntervalMin(x0, fn.value(x0), True, fn.derivative(x0))
-    d_lo = -math.inf if _near_pole(lo, fn, WALL_TOL) else fn.derivative(lo)
-    d_hi = math.inf if _near_pole(hi, fn, WALL_TOL) else fn.derivative(hi)
+    d_lo = -math.inf if fn.near_pole(lo, WALL_TOL) else fn.derivative(lo)
+    d_hi = math.inf if fn.near_pole(hi, WALL_TOL) else fn.derivative(hi)
     if d_lo >= 0.0:
         return IntervalMin(lo, fn.value(lo), True, d_lo)
     if d_hi <= 0.0:
@@ -136,52 +87,31 @@ def _minimize(fn: WalkGenFunction, lo: float, hi: float) -> IntervalMin:
     return IntervalMin(mid, fn.value(mid), False, fn.derivative(mid))
 
 
-def _spectral_setup(a: np.ndarray):
-    a = np.asarray(a, dtype=float)
-    data = spectral.eig_sym(a)
-    fn = WalkGenFunction(
-        tuple(w for _, w in data.clusters),
-        tuple(r for r, _ in data.clusters),
-        float(data.n),
-    )
-    return a, data, fn
-
-
 def minimize_on_spectral_interval(a: np.ndarray) -> IntervalMin:
-    """Global minimum of the walk-generating function on [1/lam_min, 1/lam_max].
-
-    A numerically zero matrix yields value n at the infinite sentinel x.
-    """
-    a, data, fn = _spectral_setup(a)
-    if np.linalg.norm(a) <= ZERO_NORM:
-        return IntervalMin(math.inf, float(data.n), False, 0.0)
-    return _minimize(fn, 1.0 / data.lam_min, 1.0 / data.lam_max)
+    """Global minimum of the walk-generating function on [1/lam_min, 1/lam_max]."""
+    return minimize(spectral.eig_sym(a))
 
 
 def minimize_on_subinterval(a: np.ndarray, lo: float, hi: float) -> IntervalMin:
     """Minimum over [lo, hi], which must sit inside the spectral interval."""
-    a, data, fn = _spectral_setup(a)
-    if np.linalg.norm(a) <= ZERO_NORM:
-        return IntervalMin(math.inf, float(data.n), False, 0.0)
-    full_lo, full_hi = 1.0 / data.lam_min, 1.0 / data.lam_max
-    slack_lo = WALL_TOL * (1.0 + abs(full_lo))
-    slack_hi = WALL_TOL * (1.0 + abs(full_hi))
-    if lo < full_lo - slack_lo or hi > full_hi + slack_hi:
-        raise ValueError(
-            f"interval [{lo}, {hi}] exceeds the spectral interval [{full_lo}, {full_hi}]"
-        )
-    return _minimize(fn, max(lo, full_lo), min(hi, full_hi))
+    data = spectral.eig_sym(a)
+    if data.norm > ZERO_NORM:
+        full_lo, full_hi = 1.0 / data.lam_min, 1.0 / data.lam_max
+        slack_lo = WALL_TOL * (1.0 + abs(full_lo))
+        slack_hi = WALL_TOL * (1.0 + abs(full_hi))
+        if lo < full_lo - slack_lo or hi > full_hi + slack_hi:
+            raise ValueError(
+                f"interval [{lo}, {hi}] exceeds the spectral interval [{full_lo}, {full_hi}]"
+            )
+    return minimize(data, lo, hi)
 
 
-def sample(fn: WalkGenFunction, lo: float, hi: float, k: int) -> list:
+def sample(fn: ReciprocalSum, lo: float, hi: float, k: int) -> list:
     """k evenly spaced (x, value) pairs on [lo, hi]; points at poles carry None."""
     if k < 2:
         raise ValueError("need at least 2 sample points")
     out = []
     for x in np.linspace(lo, hi, k):
         x = float(x)
-        if _near_pole(x, fn, POLE_TOL):
-            out.append((x, None))
-        else:
-            out.append((x, fn.value(x)))
+        out.append((x, None if fn.near_pole(x, POLE_TOL) else fn.value(x)))
     return out

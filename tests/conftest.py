@@ -5,34 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from walktheta.graphs import Graph, generate_named, parse_edge_list
+from walktheta import spectral
+from walktheta.corpus import fixture_graphs, random_graph  # noqa: F401 (re-exported)
+from walktheta.corpus import random_weighted as random_weighted_matrix  # noqa: F401
+from walktheta.graphs import Graph, generate_named
 
 
 def build_corpus() -> list:
-    """Named graphs covering regular, irregular, disconnected, and edgeless cases."""
-    star4 = parse_edge_list("5 0 4 1 4 2 4 3 4")
-    path5_iso = generate_named("path", n=5).add_isolated_vertex()
-    return [
-        ("K1", generate_named("empty", n=1)),
-        ("empty3", generate_named("empty", n=3)),
-        ("empty6", generate_named("empty", n=6)),
-        ("K2", generate_named("complete", n=2)),
+    """The verify fixtures plus six graphs covering more regular and disconnected cases."""
+    return fixture_graphs() + [
         ("K3", generate_named("complete", n=3)),
-        ("K4", generate_named("complete", n=4)),
-        ("K6", generate_named("complete", n=6)),
         ("C4", generate_named("cycle", n=4)),
-        ("C5", generate_named("cycle", n=5)),
         ("C6", generate_named("cycle", n=6)),
-        ("C7", generate_named("cycle", n=7)),
-        ("P2", generate_named("path", n=2)),
         ("P3", generate_named("path", n=3)),
-        ("P5", generate_named("path", n=5)),
-        ("P17", generate_named("path", n=17)),
-        ("petersen", generate_named("petersen")),
-        ("golomb", generate_named("golomb")),
         ("kneser62", generate_named("kneser", n=6, k=2)),
-        ("star4", star4),
-        ("P5+iso", path5_iso),
+        ("P5+iso", generate_named("path", n=5).add_isolated_vertex()),
     ]
 
 
@@ -41,29 +28,18 @@ def corpus():
     return build_corpus()
 
 
-def random_graph(rng: np.random.Generator, n_max: int = 12, allow_isolated: bool = True) -> Graph:
-    n = int(rng.integers(1, n_max + 1))
-    p = float(rng.uniform(0.05, 0.9))
-    edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p}
-    g = Graph(n, frozenset(edges))
-    if allow_isolated and rng.random() < 0.3:
-        g = g.add_isolated_vertex()
-    return g
+@pytest.fixture
+def eig_calls(monkeypatch) -> list:
+    """Every matrix passed to `spectral.eig_sym` during the test, in call order."""
+    calls = []
+    real = spectral.eig_sym
 
+    def recording(m):
+        calls.append(np.asarray(m, dtype=float))
+        return real(m)
 
-def random_weighted_matrix(rng: np.random.Generator, n_min: int = 3, n_max: int = 10) -> np.ndarray:
-    """Random nonzero symmetric zero-diagonal matrix supported on a random graph."""
-    while True:
-        n = int(rng.integers(n_min, n_max + 1))
-        p = float(rng.uniform(0.2, 0.9))
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-        if edges:
-            break
-    a = np.zeros((n, n))
-    for i, j in edges:
-        w = float(rng.uniform(0.2, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0)
-        a[i, j] = a[j, i] = w
-    return a
+    monkeypatch.setattr(spectral, "eig_sym", recording)
+    return calls
 
 
 def plain_alpha(g: Graph) -> int:

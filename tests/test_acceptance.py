@@ -60,10 +60,9 @@ def test_criterion_02_p17_figure_value():
     with criterion(2, "p17 walkgen bound and maximal critical point", 1.0):
         p17 = generate_named("path", n=17)
         assert walkgen_bound(p17) == pytest.approx(9.0, abs=1e-6)
-        from walktheta.walkgen import build
         from walktheta.reciprocal import ReciprocalSum
-        fn = build(adjacency(p17))
-        rep = verify_duality(ReciprocalSum(fn.weights, fn.rates))
+        from walktheta.spectral import eig_sym
+        rep = verify_duality(ReciprocalSum.from_spectral(eig_sym(adjacency(p17))))
         assert rep.duality_holds
         assert rep.maximal[1] == pytest.approx(9.0, abs=1e-6)
         lo, hi = rep.strip

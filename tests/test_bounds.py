@@ -11,7 +11,7 @@ from walktheta.bounds import (
     report,
     walkgen_bound,
 )
-from walktheta.graphs import adjacency, generate_named, parse_edge_list
+from walktheta.graphs import adjacency, generate_named, laplacian, parse_edge_list
 from walktheta.independent_set import independence_number
 from walktheta.spectral import eig_sym
 
@@ -150,3 +150,18 @@ def test_every_bound_at_least_one(corpus):
         rep = report(g)
         assert rep.walkgen_bound >= 1.0 - 1e-9, name
         assert rep.laplacian_bound >= 1.0 - 1e-9, name
+
+
+def test_report_decomposes_adjacency_and_laplacian_once(eig_calls):
+    # golomb is irregular; petersen is regular, so the ratio bound is computed too
+    for name in ("golomb", "petersen"):
+        g = generate_named(name)
+        eig_calls.clear()
+        rep = report(g)
+        assert rep.hoffman_regular is None if name == "golomb" else rep.hoffman_regular is not None
+        assert len(eig_calls) == 2, name
+        assert np.array_equal(eig_calls[0], adjacency(g)), name
+        assert np.array_equal(eig_calls[1], laplacian(g)), name
+    eig_calls.clear()
+    report(generate_named("empty", n=4))
+    assert eig_calls == []

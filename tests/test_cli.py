@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from walktheta import cli
 from walktheta.cli import main
 from walktheta.graphs import encode_graph6, generate_named
 
@@ -37,15 +39,12 @@ def test_bounds_empty_corpus_file(capsys, tmp_path):
     assert out == ""
 
 
-def test_bounds_corpus_stream_and_jobs(capsys, tmp_path):
+def test_bounds_corpus_stream(capsys, tmp_path):
     corpus = tmp_path / "corpus.g6"
     lines = [encode_graph6(generate_named("cycle", n=n)).decode() for n in (3, 4, 5, 6)]
     corpus.write_text("\n".join(lines) + "\n")
     code, seq, _ = run_cli(capsys, "bounds", str(corpus))
     assert code == 0
-    code, par, _ = run_cli(capsys, "bounds", str(corpus), "--jobs", "3")
-    assert code == 0
-    assert seq == par
     assert [json.loads(l)["n"] for l in seq.splitlines()] == [3, 4, 5, 6]
 
 
@@ -196,3 +195,40 @@ def test_missing_input_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "bounds")
     assert code == 2
     assert "no input" in err
+
+
+def test_numeric_failure_exits_1(capsys, monkeypatch):
+    # an eigensolver returning wrong vectors trips eig_sym's residual check
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.zeros(len(m)), np.eye(len(m))))
+    code, out, err = run_cli(capsys, "bounds", "--named", "golomb")
+    assert code == 1
+    assert out == ""
+    assert "residual" in err
+
+
+def test_bound_below_known_alpha_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "independence_number", lambda g: g.n)
+    code, out, err = run_cli(capsys, "bounds", "--named", "cycle", "--n", "5", "--alpha-oracle")
+    assert code == 1
+    assert "fell below the known independence number 5" in err
+
+
+def test_named_parameter_error_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "bounds", "--named", "cycle")
+    assert code == 2
+    assert "needs parameter n" in err
+
+
+def test_plot_too_few_samples_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "plot", "--named", "golomb", "--samples", "1")
+    assert code == 2
+    assert out == ""
+    assert "--samples" in err
+
+
+def test_removed_flags_are_rejected(capsys):
+    for argv in (["bounds", "--named", "golomb", "--jobs", "2"],
+                 ["theta", "--named", "golomb", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from walktheta.graphs import adjacency, generate_named
 from walktheta.reciprocal import (
@@ -11,12 +13,11 @@ from walktheta.reciprocal import (
     random_instance,
     verify_duality,
 )
-from walktheta.walkgen import build
+from walktheta.spectral import eig_sym
 
 
 def walk_terms(name, **kwargs) -> ReciprocalSum:
-    fn = build(adjacency(generate_named(name, **kwargs)))
-    return ReciprocalSum(fn.weights, fn.rates)
+    return ReciprocalSum.from_spectral(eig_sym(adjacency(generate_named(name, **kwargs))))
 
 
 def test_has_critical_points_branches():
@@ -82,7 +83,7 @@ def test_duality_on_random_instances():
             assert enumerate_critical_points(f) == []
             continue
         report = verify_duality(f)
-        assert report.duality_holds, (f.alphas, f.betas)
+        assert report.duality_holds, (f.weights, f.rates)
         seen_dual += 1
     assert seen_dual >= 150
 
@@ -94,7 +95,7 @@ def test_iff_critical_point_condition():
         f = random_instance(rng)
         expected = has_critical_points(f)
         found = bool(enumerate_critical_points(f))
-        assert expected == found, (f.alphas, f.betas)
+        assert expected == found, (f.weights, f.rates)
         both[expected] += 1
     assert both[True] > 100 and both[False] > 100
 
@@ -105,9 +106,9 @@ def test_scan_and_polynomial_finders_agree_on_random_instances():
         f = random_instance(rng)
         scanned = [x for x, _, _ in enumerate_critical_points(f)]
         roots = polynomial_critical_points(f)
-        assert len(scanned) == len(roots), (f.alphas, f.betas)
+        assert len(scanned) == len(roots), (f.weights, f.rates)
         for a, b in zip(scanned, roots):
-            assert abs(a - b) <= 1e-6 * (1.0 + abs(b)), (f.alphas, f.betas)
+            assert abs(a - b) <= 1e-6 * (1.0 + abs(b)), (f.weights, f.rates)
 
 
 def test_critical_point_count_cap():
@@ -142,9 +143,39 @@ def test_asymptotic_limit_is_constant_term():
 
 def test_from_terms_normalizes():
     f = ReciprocalSum.from_terms((1.0, 0.0, 2.0, 3.0), (1.0, 5.0, -1.0, 1.0))
-    assert f.betas == (1.0, -1.0)
-    assert f.alphas == (4.0, 2.0)
+    assert f.rates == (-1.0, 1.0)
+    assert f.weights == (2.0, 4.0)
     with pytest.raises(ValueError):
         ReciprocalSum((1.0, -1.0), (1.0, 2.0))
     with pytest.raises(ValueError, match="distinct"):
         ReciprocalSum((1.0, 1.0), (2.0, 2.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 6),
+    entries=st.lists(st.floats(-2.0, 2.0), min_size=21, max_size=21),
+    x=st.floats(-3.0, 3.0),
+)
+def test_walk_sum_matches_its_definition(n, entries, x):
+    """W(x) = <1, (I - xA)^-1 1> for symmetric A, with W' matching a central difference."""
+    a = np.zeros((n, n))
+    a[np.triu_indices(n)] = entries[: n * (n + 1) // 2]
+    a = np.triu(a) + np.triu(a, 1).T
+    lam = np.linalg.eigvalsh(a)
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    gaps = np.diff(lam)
+    # clusters merge eigenvalues closer than ~1e-7 * scale; keep away from that regime
+    assume(np.all((gaps <= 1e-12 * scale) | (gaps >= 1e-4 * scale)))
+    d_min = float(np.min(np.abs(1.0 - lam * x)))
+    assume(d_min >= 0.1)
+    f = ReciprocalSum.from_spectral(eig_sym(a))
+    ones = np.ones(n)
+    exact = float(ones @ np.linalg.solve(np.eye(n) - x * a, ones))
+    magnitude = sum(w / abs(1.0 - r * x) for w, r in zip(f.weights, f.rates))
+    assert abs(f.value(x) - exact) <= 1e-9 * (1.0 + magnitude)
+    h = 1e-4 * d_min / scale
+    central = (f.value(x + h) - f.value(x - h)) / (2.0 * h)
+    slope_scale = sum(w * abs(r) / (1.0 - r * x) ** 2 for w, r in zip(f.weights, f.rates))
+    assert abs(f.derivative(x) - central) <= 1e-6 * (1.0 + slope_scale)
+    assert f.derivative_grid(np.array([x]))[0] == pytest.approx(f.derivative(x), rel=1e-12, abs=1e-300)

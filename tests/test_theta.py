@@ -274,3 +274,22 @@ def test_theta_estimate_c5_product_sandwich():
     est = minimize_theta(product, init_weights=seed.weights, max_iter=250)
     assert est.upper == pytest.approx(5.0, abs=1e-2)
     assert est.upper >= 5.0 - 1e-7
+
+
+# --- one decomposition per matrix ---
+
+def test_extract_optimizer_decomposes_once(eig_calls):
+    # golomb's minimum is interior, C5's sits at an interval endpoint
+    for name in ("golomb", "cycle"):
+        eig_calls.clear()
+        extract_optimizer(adjacency(generate_named(name, n=5)))
+        assert len(eig_calls) == 1, name
+
+
+def test_submultiplicativity_decomposes_each_factor_once(eig_calls):
+    g, h = generate_named("cycle", n=5), generate_named("path", n=3)
+    submultiplicativity_check(g, h, grid=4, n_random=5)
+    factors = [m for m in eig_calls if m.shape != (15, 15)]
+    assert len(factors) == 2
+    assert np.array_equal(factors[0], adjacency(g))
+    assert np.array_equal(factors[1], adjacency(h))

@@ -5,11 +5,9 @@ import pytest
 
 from conftest import random_weighted_matrix
 from walktheta.graphs import adjacency, generate_named
+from walktheta.reciprocal import PoleProximityError, ReciprocalSum
 from walktheta.spectral import eig_sym
 from walktheta.walkgen import (
-    PoleProximityError,
-    WalkGenFunction,
-    build,
     minimize_on_spectral_interval,
     minimize_on_subinterval,
     sample,
@@ -19,37 +17,37 @@ SQRT5 = math.sqrt(5.0)
 
 
 def test_build_k2():
-    fn = build(adjacency(generate_named("complete", n=2)))
+    fn = ReciprocalSum.from_spectral(eig_sym(adjacency(generate_named("complete", n=2))))
     assert fn.rates == (pytest.approx(1.0),)
     assert fn.weights == (pytest.approx(2.0),)
     assert fn.n_total == 2.0
 
 
 def test_build_zero_matrix():
-    fn = build(np.zeros((4, 4)))
+    fn = ReciprocalSum.from_spectral(eig_sym(np.zeros((4, 4))))
     assert fn.rates == (0.0,)
     assert fn.weights == (pytest.approx(4.0),)
 
 
 def test_build_c5():
-    fn = build(adjacency(generate_named("cycle", n=5)))
+    fn = ReciprocalSum.from_spectral(eig_sym(adjacency(generate_named("cycle", n=5))))
     assert fn.rates == (pytest.approx(2.0),)
     assert fn.weights == (pytest.approx(5.0),)
 
 
 def test_value_k2_at_minus_one():
-    fn = WalkGenFunction((2.0,), (1.0,), 2.0)
+    fn = ReciprocalSum((2.0,), (1.0,), 2.0)
     assert fn.value(-1.0) == pytest.approx(1.0)
 
 
 def test_constant_function():
-    fn = WalkGenFunction((4.0,), (0.0,), 4.0)
+    fn = ReciprocalSum((4.0,), (0.0,), 4.0)
     assert fn.value(3.7) == 4.0
     assert fn.derivative(-2.0) == 0.0
 
 
 def test_value_near_pole_raises():
-    fn = WalkGenFunction((2.0,), (1.0,), 2.0)
+    fn = ReciprocalSum((2.0,), (1.0,), 2.0)
     with pytest.raises(PoleProximityError) as exc:
         fn.value(1.0 + 1e-12)
     assert exc.value.pole == pytest.approx(1.0)
@@ -60,7 +58,7 @@ def test_golomb_interior_minimum_value():
     opt = minimize_on_spectral_interval(a)
     assert opt.value == pytest.approx(4.744, abs=1e-3)
     assert not opt.at_endpoint
-    fn = build(a)
+    fn = ReciprocalSum.from_spectral(eig_sym(a))
     assert fn.value(opt.x_star) == pytest.approx(opt.value)
 
 
@@ -111,7 +109,7 @@ def test_convexity_on_random_weighted_graphs():
     while checks < 1000:
         a = random_weighted_matrix(rng)
         data = eig_sym(a)
-        fn = build(a)
+        fn = ReciprocalSum.from_spectral(data)
         lo, hi = 1.0 / data.lam_min, 1.0 / data.lam_max
         width = hi - lo
         for _ in range(25):
@@ -126,7 +124,7 @@ def test_derivative_at_zero_counts_edges(corpus):
         a = adjacency(g)
         # exact integer identity <1, A 1> = 2|E|
         assert int(np.ones(g.n) @ a @ np.ones(g.n)) == 2 * g.num_edges, name
-        fn = build(a)
+        fn = ReciprocalSum.from_spectral(eig_sym(a))
         assert fn.derivative(0.0) == pytest.approx(2.0 * g.num_edges, abs=1e-8), name
 
 
@@ -144,8 +142,8 @@ def test_derivative_matches_finite_differences():
     rng = np.random.default_rng(5)
     for _ in range(20):
         a = random_weighted_matrix(rng)
-        fn = build(a)
         data = eig_sym(a)
+        fn = ReciprocalSum.from_spectral(data)
         lo, hi = 1.0 / data.lam_min, 1.0 / data.lam_max
         width = hi - lo
         x = float(rng.uniform(lo + 0.1 * width, hi - 0.1 * width))
@@ -156,7 +154,7 @@ def test_derivative_matches_finite_differences():
 
 
 def test_sample_emits_pole_gaps():
-    fn = WalkGenFunction((1.0, 1.0), (-1.0, 1.0), 2.0)
+    fn = ReciprocalSum((1.0, 1.0), (-1.0, 1.0), 2.0)
     pts = sample(fn, -1.0, 1.0, 41)
     assert len(pts) == 41
     assert pts[0][1] is None and pts[-1][1] is None
@@ -166,6 +164,6 @@ def test_sample_emits_pole_gaps():
 
 
 def test_sample_validates_count():
-    fn = WalkGenFunction((1.0,), (0.0,), 1.0)
+    fn = ReciprocalSum((1.0,), (0.0,), 1.0)
     with pytest.raises(ValueError):
         sample(fn, 0.0, 1.0, 1)
