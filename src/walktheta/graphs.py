@@ -79,10 +79,16 @@ def _pair_order(n: int):
             yield i, j
 
 
-def parse_graph6(data) -> Graph:
-    """Decode one graph6 line (standard short form, n <= 62).
+# graph6 vertex counts: one byte up to 62, '~' plus three bytes (18 bits) above.
+SHORT_FORM_MAX_N = 62
+LONG_FORM_MAX_N = (1 << 18) - 1
 
-    Accepts bytes or str, with an optional '>>graph6<<' prefix.
+
+def parse_graph6(data) -> Graph:
+    """Decode one graph6 line: short form (n <= 62) or 18-bit long form ('~', n <= 258047).
+
+    Accepts bytes or str, with an optional '>>graph6<<' prefix. The 36-bit
+    form ('~~') is rejected.
     """
     if isinstance(data, str):
         data = data.encode("ascii", errors="replace")
@@ -94,15 +100,21 @@ def parse_graph6(data) -> Graph:
     for off, b in enumerate(data):
         if not (63 <= b <= 126):
             raise Graph6ParseError(f"character {b!r} outside graph6 range [63, 126]", off)
-    if data[0] == 126:
-        raise Graph6ParseError("long-form graph6 (n > 62) is not supported", 0)
-    n = data[0] - 63
+    if data[0] != 126:
+        n, header = data[0] - 63, 1
+    elif data[1:2] == b"~":
+        raise Graph6ParseError("36-bit graph6 size '~~' (n > 258047) is not supported", 0)
+    elif len(data) < 4:
+        raise Graph6ParseError("long-form graph6 size '~' needs 3 more bytes", len(data))
+    else:
+        n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
+        header = 4
     need = (n * (n - 1) // 2 + 5) // 6
-    body = data[1:]
+    body = data[header:]
     if len(body) < need:
         raise Graph6ParseError(f"data section too short: need {need} bytes, got {len(body)}", len(data))
     if len(body) > need:
-        raise Graph6ParseError("trailing garbage after graph6 data", 1 + need)
+        raise Graph6ParseError("trailing garbage after graph6 data", header + need)
     bits = []
     for b in body:
         v = b - 63
@@ -112,13 +124,16 @@ def parse_graph6(data) -> Graph:
 
 
 def encode_graph6(g: Graph) -> bytes:
-    """Inverse of parse_graph6 (short form only)."""
-    if g.n > 62:
-        raise ValueError("short-form graph6 supports n <= 62 only")
+    """Inverse of parse_graph6: short form for n <= 62, 18-bit long form above."""
+    if g.n > LONG_FORM_MAX_N:
+        raise ValueError(f"graph6 without the 36-bit form supports n <= {LONG_FORM_MAX_N} only")
     bits = [1 if g.has_edge(i, j) else 0 for i, j in _pair_order(g.n)]
     while len(bits) % 6:
         bits.append(0)
-    out = [g.n + 63]
+    if g.n <= SHORT_FORM_MAX_N:
+        out = [g.n + 63]
+    else:
+        out = [126] + [((g.n >> shift) & 63) + 63 for shift in (12, 6, 0)]
     for k in range(0, len(bits), 6):
         v = 0
         for bit in bits[k:k + 6]:

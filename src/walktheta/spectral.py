@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SpectralData", "eig_sym", "cluster_weights"]
+__all__ = ["SpectralData", "eigh_checked", "eig_sym", "cluster_weights"]
 
 # Relative tolerances: eigensolver residual, eigenvalue clustering, and the
 # threshold below which a cluster's all-ones weight counts as exactly zero.
@@ -53,12 +53,16 @@ def _check_symmetric(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def eig_sym(m: np.ndarray) -> SpectralData:
-    """Full eigendecomposition of a symmetric matrix, with weight clusters attached."""
+def eigh_checked(m: np.ndarray) -> tuple:
+    """Eigenvalues (ascending) and eigenvector columns of an exactly symmetric matrix.
+
+    Raises ValueError for a non-square or non-symmetric input and
+    LinAlgError when the eigenpairs fail the residual check.
+    """
     m = _check_symmetric(m)
     n = m.shape[0]
     if n == 0:
-        return SpectralData(np.zeros(0), np.zeros((0, 0)), (), 0.0)
+        return np.zeros(0), np.zeros((0, 0))
     vals, vecs = np.linalg.eigh(m)
     scale = float(np.linalg.norm(m))
     resid = float(np.max(np.abs(m @ vecs - vecs * vals)))
@@ -66,7 +70,13 @@ def eig_sym(m: np.ndarray) -> SpectralData:
         raise np.linalg.LinAlgError(
             f"eigendecomposition residual {resid:.3e} exceeds tolerance at scale {scale:.3e}"
         )
-    data = SpectralData(vals, vecs, (), scale)
+    return vals, vecs
+
+
+def eig_sym(m: np.ndarray) -> SpectralData:
+    """Full eigendecomposition of a symmetric matrix, with weight clusters attached."""
+    vals, vecs = eigh_checked(m)
+    data = SpectralData(vals, vecs, (), float(np.linalg.norm(m)))
     object.__setattr__(data, "clusters", cluster_weights(data))
     return data
 

@@ -11,7 +11,7 @@ extraction turns that minimum into a certified point on the sphere
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,27 +35,42 @@ __all__ = [
 RESIDUAL_TOL = 1e-7
 
 
+def _edge_index(g: Graph) -> tuple:
+    """Row and column index arrays of g's edges in sorted order, the order of the weights."""
+    edges = np.array(sorted(g.edges), dtype=np.intp).reshape(-1, 2)
+    return edges[:, 0], edges[:, 1]
+
+
+def _weight_matrix(n: int, rows: np.ndarray, cols: np.ndarray, weights) -> np.ndarray:
+    a = np.zeros((n, n))
+    a[rows, cols] = weights
+    a[cols, rows] = weights
+    return a
+
+
 @dataclass(frozen=True)
 class WeightedAdjacency:
-    """Edge weights over a fixed graph; induces a symmetric zero-diagonal matrix."""
+    """Edge weights over a fixed graph; induces a symmetric zero-diagonal matrix.
+
+    `weights` follow the sorted edge order; `rows` and `cols` index those
+    edges and are derived from the graph once, at construction.
+    """
 
     graph: Graph
     weights: tuple
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    cols: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        edges = self.edge_order()
-        if len(self.weights) != len(edges):
-            raise ValueError(f"need {len(edges)} weights, got {len(self.weights)}")
+        rows, cols = _edge_index(self.graph)
+        if len(self.weights) != len(rows):
+            raise ValueError(f"need {len(rows)} weights, got {len(self.weights)}")
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-
-    def edge_order(self) -> list:
-        return sorted(self.graph.edges)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
 
     def matrix(self) -> np.ndarray:
-        a = np.zeros((self.graph.n, self.graph.n))
-        for (i, j), w in zip(self.edge_order(), self.weights):
-            a[i, j] = a[j, i] = w
-        return a
+        return _weight_matrix(self.graph.n, self.rows, self.cols, self.weights)
 
     @classmethod
     def unweighted(cls, g: Graph) -> "WeightedAdjacency":
@@ -92,8 +107,7 @@ class OptimizerVector:
 
 
 def _top_cluster(b: np.ndarray):
-    data = spectral.eig_sym(b)
-    vals, vecs = data.eigenvalues, data.eigenvectors
+    vals, vecs = spectral.eigh_checked(b)
     top = vals[-1]
     tol = spectral.TOL_CLUSTER * max(1.0, float(np.linalg.norm(vals)))
     k = int(np.searchsorted(vals, top - tol))
@@ -108,12 +122,10 @@ def lambda_max_penalized(g: Graph, weights) -> tuple:
     return value, basis[:, 0], basis.shape[1]
 
 
-def _subgradient(g: Graph, edge_order: list, b: np.ndarray):
+def _subgradient(rows: np.ndarray, cols: np.ndarray, b: np.ndarray):
+    """lambda_max(b) and the gradient over the edges (rows, cols) of the averaged top eigenspace."""
     value, basis = _top_cluster(b)
-    grad = np.empty(len(edge_order))
-    for e, (i, j) in enumerate(edge_order):
-        grad[e] = -2.0 * float(np.mean(basis[i, :] * basis[j, :]))
-    return value, grad
+    return value, -2.0 * np.mean(basis[rows] * basis[cols], axis=1)
 
 
 def minimize_theta(
@@ -132,8 +144,8 @@ def minimize_theta(
     search along the scaling ray t * A_best (exact for the 1-D convex
     restriction) polishes the result.
     """
-    edge_order = sorted(g.edges)
-    m = len(edge_order)
+    rows, cols = _edge_index(g)
+    m = len(rows)
     n = g.n
     lower = float(independence_number(g)) if alpha_oracle else None
     if m == 0:
@@ -142,13 +154,6 @@ def minimize_theta(
                              (), 0, True, (upper,))
     w = np.ones(m) if init_weights is None else np.asarray(init_weights, dtype=float).copy()
     ones = np.ones((n, n))
-
-    def matrix(weights):
-        a = np.zeros((n, n))
-        for e, (i, j) in enumerate(edge_order):
-            a[i, j] = a[j, i] = weights[e]
-        return a
-
     best_val = math.inf
     best_w = w.copy()
     history = []
@@ -157,7 +162,7 @@ def minimize_theta(
     iterations = 0
     for k in range(1, max_iter + 1):
         iterations = k
-        value, grad = _subgradient(g, edge_order, ones - matrix(w))
+        value, grad = _subgradient(rows, cols, ones - _weight_matrix(n, rows, cols, w))
         if value < best_val:
             best_val = value
             best_w = w.copy()
@@ -178,7 +183,7 @@ def minimize_theta(
         for ray in rays:
             if np.linalg.norm(ray) <= walkgen.ZERO_NORM:
                 continue
-            t, value = optimal_scaling(matrix(ray))
+            t, value = optimal_scaling(_weight_matrix(n, rows, cols, ray))
             if value < best_val:
                 best_val = value
                 best_w = t * ray
@@ -298,19 +303,19 @@ def product_adjacency(
     factor is indefinite.
     """
     data_g, data_h = spectral.eig_sym(wa_g.matrix()), spectral.eig_sym(wa_h.matrix())
-    return _shifted_product(wa_g, data_g, gamma_g, wa_h, data_h, gamma_h)
+    product = strong_product(wa_g.graph, wa_h.graph)
+    return _shifted_product(wa_g, data_g, gamma_g, wa_h, data_h, gamma_h, product)
 
 
-def _shifted_product(wa_g, data_g, gamma_g, wa_h, data_h, gamma_h) -> WeightedAdjacency:
-    """product_adjacency for factors whose matrices are already decomposed."""
+def _shifted_product(wa_g, data_g, gamma_g, wa_h, data_h, gamma_h, product: Graph) -> WeightedAdjacency:
+    """product_adjacency for decomposed factors and their already-built strong product."""
     _check_shift("gamma_g", data_g, gamma_g)
     _check_shift("gamma_h", data_h, gamma_h)
     ng, nh = wa_g.graph.n, wa_h.graph.n
     m = np.kron(wa_g.matrix() + gamma_g * np.eye(ng), wa_h.matrix() + gamma_h * np.eye(nh))
     m -= gamma_g * gamma_h * np.eye(ng * nh)
-    product = strong_product(wa_g.graph, wa_h.graph)
-    weights = tuple(float(m[i, j]) for i, j in sorted(product.edges))
-    return WeightedAdjacency(product, weights)
+    rows, cols = _edge_index(product)
+    return WeightedAdjacency(product, m[rows, cols])
 
 
 def _valid_gamma_samples(data: spectral.SpectralData, k: int, rng: np.random.Generator = None):
@@ -358,9 +363,10 @@ def submultiplicativity_check(
     wa_g = WeightedAdjacency.unweighted(g)
     wa_h = WeightedAdjacency.unweighted(h)
     data_g, data_h = spectral.eig_sym(wa_g.matrix()), spectral.eig_sym(wa_h.matrix())
+    product_graph = strong_product(g, h)
 
     def product(gg: float, gh: float) -> np.ndarray:
-        return _shifted_product(wa_g, data_g, gg, wa_h, data_h, gh).matrix()
+        return _shifted_product(wa_g, data_g, gg, wa_h, data_h, gh, product_graph).matrix()
 
     rhs = walkgen.minimize(data_g).value * walkgen.minimize(data_h).value
     lhs = math.inf

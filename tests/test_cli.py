@@ -206,6 +206,27 @@ def test_numeric_failure_exits_1(capsys, monkeypatch):
     assert "residual" in err
 
 
+def test_theta_numeric_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.zeros(len(m)), np.eye(len(m))))
+    code, out, err = run_cli(capsys, "theta", "--named", "petersen")
+    assert code == 1
+    assert out == ""
+    assert "residual" in err
+
+
+def test_bounds_long_form_graph6_line(capsys, tmp_path):
+    corpus = tmp_path / "kneser.g6"
+    line = encode_graph6(generate_named("kneser", n=12, k=2))
+    assert line.startswith(b"~")
+    corpus.write_bytes(line + b"\n")
+    code, out, _ = run_cli(capsys, "bounds", str(corpus))
+    assert code == 0
+    payload = json.loads(out.strip())
+    assert payload["n"] == 66
+    # Kneser(12, 2) is 45-regular with least eigenvalue -9: Hoffman gives 66 * 9 / 54
+    assert payload["bounds"]["hoffman"] == pytest.approx(11.0)
+
+
 def test_bound_below_known_alpha_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(cli, "independence_number", lambda g: g.n)
     code, out, err = run_cli(capsys, "bounds", "--named", "cycle", "--n", "5", "--alpha-oracle")

@@ -63,7 +63,41 @@ def test_parse_graph6_errors_carry_offsets():
         parse_graph6(b"D?\x1f")
     assert exc.value.offset == 2
     with pytest.raises(Graph6ParseError):
-        parse_graph6(b"~??")  # long form
+        parse_graph6(b"~??")  # long form with a truncated size
+
+
+def long_form_graphs():
+    c9 = generate_named("cycle", n=9)
+    return [generate_named("kneser", n=12, k=2), strong_product(c9, c9)]
+
+
+def test_graph6_long_form_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for g in long_form_graphs():
+        theirs = nx.Graph()
+        theirs.add_nodes_from(range(g.n))
+        theirs.add_edges_from(sorted(g.edges))
+        line = nx.to_graph6_bytes(theirs, header=False).strip()
+        assert encode_graph6(g) == line
+        assert parse_graph6(line) == g
+        decoded = nx.from_graph6_bytes(encode_graph6(g))
+        assert decoded.number_of_nodes() == g.n
+        assert {(min(u, v), max(u, v)) for u, v in decoded.edges()} == g.edges
+
+
+def test_graph6_long_form_errors():
+    line = encode_graph6(long_form_graphs()[0])
+    with pytest.raises(Graph6ParseError, match="short") as exc:
+        parse_graph6(line[:-1])
+    assert exc.value.offset == len(line) - 1
+    with pytest.raises(Graph6ParseError, match="trailing") as exc:
+        parse_graph6(line + b"?")
+    assert exc.value.offset == len(line)
+    with pytest.raises(Graph6ParseError, match="~~") as exc:
+        parse_graph6(b"~~??A??")
+    assert exc.value.offset == 0
+    with pytest.raises(ValueError, match="36-bit"):
+        encode_graph6(Graph(1 << 18))
 
 
 def test_graph6_round_trip(corpus):

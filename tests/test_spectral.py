@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from walktheta.graphs import adjacency, generate_named
-from walktheta.spectral import eig_sym
+from walktheta.spectral import eig_sym, eigh_checked
 
 
 def test_zero_matrix():
@@ -75,8 +75,9 @@ def test_mixed_sign_spectrum_for_nonzero_adjacency(corpus):
 
 
 def test_rejects_asymmetric_input():
-    with pytest.raises(ValueError, match="symmetric"):
-        eig_sym(np.array([[0.0, 1.0], [0.5, 0.0]]))
+    for decompose in (eig_sym, eigh_checked):
+        with pytest.raises(ValueError, match="symmetric"):
+            decompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
 def test_empty_matrix():

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import plain_alpha, random_weighted_matrix
-from walktheta.graphs import adjacency, generate_named, strong_product
+from walktheta import theta
+from walktheta.graphs import Graph, adjacency, generate_named, strong_product
 from walktheta.independent_set import independence_number, max_independent_set
 from walktheta.theta import (
     RESIDUAL_TOL,
     WeightedAdjacency,
+    _subgradient,
+    _top_cluster,
     extract_optimizer,
     lambda_max_penalized,
     minimize_theta,
@@ -101,6 +104,57 @@ def test_minimize_theta_json_schema():
     payload = est.to_json_dict()
     assert set(payload) == {"upper", "lower", "iterations", "converged", "weights"}
     assert len(payload["weights"]) == 4
+
+
+def random_gnp(rng, n, p):
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.random(len(iu)) < p
+    return Graph(n, frozenset(zip(iu[keep].tolist(), ju[keep].tolist())))
+
+
+def reference_gradient(g, weights):
+    """The per-edge loop the vectorised subgradient replaced: matrix fill and gradient."""
+    edges = sorted(g.edges)
+    a = np.zeros((g.n, g.n))
+    for (i, j), w in zip(edges, weights):
+        a[i, j] = a[j, i] = w
+    b = np.ones((g.n, g.n)) - a
+    value, basis = _top_cluster(b)
+    grad = np.empty(len(edges))
+    for e, (i, j) in enumerate(edges):
+        grad[e] = -2.0 * float(np.mean(basis[i, :] * basis[j, :]))
+    return b, value, grad, basis.shape[1]
+
+
+def test_subgradient_equals_per_edge_reference():
+    rng = np.random.default_rng(41)
+    cases = []
+    for n, p in ((8, 0.5), (15, 0.3), (30, 0.5), (41, 0.7)):
+        g = random_gnp(rng, n, p)
+        cases.append((g, rng.uniform(0.0, 2.0, size=g.num_edges), 1))
+    # J - 2A has top eigenvalue 4 with multiplicity 5 on Petersen, and
+    # J - A = I (multiplicity 12) on K12: multi-column means
+    cases.append((generate_named("petersen"), np.full(15, 2.0), 5))
+    cases.append((generate_named("complete", n=12), np.ones(66), 12))
+    for g, weights, mult in cases:
+        wa = WeightedAdjacency(g, tuple(weights))
+        b, value, grad, width = reference_gradient(g, weights)
+        assert width == mult
+        assert np.array_equal(np.ones((g.n, g.n)) - wa.matrix(), b)
+        got_value, got_grad = _subgradient(wa.rows, wa.cols, b)
+        assert got_value == value
+        assert np.array_equal(got_grad, grad)
+
+
+def test_minimize_theta_skips_cluster_weights(eig_calls):
+    minimize_theta(generate_named("petersen"), max_iter=50)
+    assert eig_calls == []
+
+
+def test_minimize_theta_keeps_residual_check(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.zeros(len(m)), np.eye(len(m))))
+    with pytest.raises(np.linalg.LinAlgError, match="residual"):
+        minimize_theta(generate_named("petersen"), max_iter=50)
 
 
 # --- scaling duality ---
@@ -293,3 +347,12 @@ def test_submultiplicativity_decomposes_each_factor_once(eig_calls):
     assert len(factors) == 2
     assert np.array_equal(factors[0], adjacency(g))
     assert np.array_equal(factors[1], adjacency(h))
+
+
+def test_submultiplicativity_builds_product_graph_once(monkeypatch):
+    built = []
+    real = theta.strong_product
+    monkeypatch.setattr(theta, "strong_product", lambda g, h: built.append(1) or real(g, h))
+    submultiplicativity_check(generate_named("cycle", n=5), generate_named("path", n=3),
+                              grid=4, n_random=5)
+    assert len(built) == 1
