@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -28,7 +29,12 @@ class InputError(Exception):
     """User-facing input problem; message already carries file:line context."""
 
 
-def _read_graphs(args) -> list:
+def _read_graphs(args):
+    """The input graphs, as an iterable.
+
+    The input file is read at once, so a missing file fails before any output
+    is opened; graph6 lines are parsed lazily, one per graph consumed.
+    """
     if args.named:
         try:
             return [generate_named(args.named, n=args.n, k=args.k)]
@@ -52,56 +58,60 @@ def _read_graphs(args) -> list:
             return [parse_edge_list(text)]
         except ValueError as exc:
             raise InputError(f"{path}:1: {exc}") from exc
-    graphs = []
+    return _parse_graph6_lines(path, text)
+
+
+def _parse_graph6_lines(path: str, text: str):
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            graphs.append(parse_graph6(line.strip()))
+            yield parse_graph6(line.strip())
         except Graph6ParseError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
-    return graphs
 
 
-def _emit(lines, args) -> None:
-    out = sys.stdout
-    if args.output:
-        with open(args.output, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+@contextmanager
+def _output(args):
+    """Yield write(line), which writes one line to --output or stdout at once."""
+    if not args.output:
+        out = sys.stdout
+        yield lambda line: out.write(line + "\n")
         return
-    for line in lines:
-        out.write(line + "\n")
+    with open(args.output, "w") as fh:
+        yield lambda line: fh.write(line + "\n")
 
 
 def cmd_bounds(args) -> int:
-    reports = []
-    for g in _read_graphs(args):
-        alpha = None
-        if args.alpha_oracle and g.n <= ALPHA_ORACLE_LIMIT:
-            alpha = independence_number(g)
-        reports.append(bounds.report(g, known_alpha=alpha).to_json_dict())
-    _emit([json.dumps(r) for r in reports], args)
-    return 0 if all(r["dominance_ok"] for r in reports) else 1
+    graphs = _read_graphs(args)
+    dominance_ok = True
+    with _output(args) as write:
+        for g in graphs:
+            alpha = None
+            if args.alpha_oracle and g.n <= ALPHA_ORACLE_LIMIT:
+                alpha = independence_number(g)
+            r = bounds.report(g, known_alpha=alpha)
+            dominance_ok = dominance_ok and r.dominance_ok
+            write(json.dumps(r.to_json_dict()))
+    return 0 if dominance_ok else 1
 
 
 def cmd_theta(args) -> int:
-    lines = []
-    for g in _read_graphs(args):
-        est = theta.minimize_theta(
-            g,
-            max_iter=args.max_iter,
-            stall_tol=args.tol,
-            alpha_oracle=args.alpha_oracle and g.n <= ALPHA_ORACLE_LIMIT,
-        )
-        lines.append(json.dumps(est.to_json_dict()))
-    _emit(lines, args)
+    graphs = _read_graphs(args)
+    with _output(args) as write:
+        for g in graphs:
+            est = theta.minimize_theta(
+                g,
+                max_iter=args.max_iter,
+                stall_tol=args.tol,
+                alpha_oracle=args.alpha_oracle and g.n <= ALPHA_ORACLE_LIMIT,
+            )
+            write(json.dumps(est.to_json_dict()))
     return 0
 
 
-def _suite_duality(count: int, seed: int, emit) -> int:
+def _suite_duality(count: int, seed: int, emit) -> None:
     rng = np.random.default_rng(seed)
-    failures = 0
     for i in range(count):
         f = reciprocal.random_instance(rng)
         expect = reciprocal.has_critical_points(f)
@@ -109,33 +119,27 @@ def _suite_duality(count: int, seed: int, emit) -> int:
         ok = expect == bool(found)
         if expect and found:
             ok = ok and reciprocal.verify_duality(f).duality_holds
-        failures += not ok
         emit({"suite": "duality", "case": i, "ok": bool(ok)})
-    return failures
 
 
-def _suite_scaling(count: int, seed: int, emit) -> int:
+def _suite_scaling(count: int, seed: int, emit) -> None:
     rng = np.random.default_rng(seed)
-    failures = 0
     for i in range(count):
         a = random_weighted(rng)
         _, scaled = theta.optimal_scaling(a)
         direct = walkgen.minimize_on_spectral_interval(a).value
         ok = abs(scaled - direct) <= 1e-6
-        failures += not ok
         emit({"suite": "scaling", "case": i, "ok": bool(ok),
               "scaled": scaled, "direct": direct})
-    return failures
 
 
-def _suite_product(seed: int, emit) -> int:
+def _suite_product(seed: int, emit) -> None:
     pairs = [
         ("C5", "C5"), ("K2", "K2"), ("empty3", "K2"), ("P5", "C5"),
         ("K4", "P2"), ("C7", "K2"), ("P5", "P5"), ("K2", "C5"),
         ("empty3", "empty6"), ("star4", "K2"),
     ]
     fixtures = dict(fixture_graphs())
-    failures = 0
     for i, (a, b) in enumerate(pairs):
         try:
             lhs, rhs, ok = theta.submultiplicativity_check(
@@ -144,32 +148,26 @@ def _suite_product(seed: int, emit) -> int:
         except AssertionError:
             lhs = rhs = math.nan
             ok = False
-        failures += not ok
         emit({"suite": "product", "case": f"{a}x{b}", "ok": bool(ok),
               "lhs": lhs, "rhs": rhs})
-    return failures
 
 
-def _suite_dominance(graphs, count: int, seed: int, emit) -> int:
+def _suite_dominance(graphs, count: int, seed: int, emit) -> None:
     if graphs is None:
         rng = np.random.default_rng(seed)
         graphs = [g for _, g in fixture_graphs()]
         while len(graphs) < count:
             graphs.append(random_graph(rng))
-    failures = 0
     for i, g in enumerate(graphs):
         r = bounds.report(g)
-        failures += not r.dominance_ok
         emit({"suite": "dominance", "case": i, "ok": bool(r.dominance_ok),
               "walkgen": r.walkgen_bound, "laplacian": r.laplacian_bound})
-    return failures
 
 
-def _suite_optimizer(count: int, seed: int, emit) -> int:
+def _suite_optimizer(count: int, seed: int, emit) -> None:
     rng = np.random.default_rng(seed)
     mats = [adjacency(g) for _, g in fixture_graphs()]
     mats += [random_weighted(rng) for _ in range(count)]
-    failures = 0
     for i, a in enumerate(mats):
         cert = theta.extract_optimizer(a)
         norm_a = float(np.linalg.norm(a))
@@ -179,37 +177,43 @@ def _suite_optimizer(count: int, seed: int, emit) -> int:
             and cert.residual_sphere <= theta.RESIDUAL_TOL * scale
             and abs(cert.norm_sq - walkgen.minimize_on_spectral_interval(a).value) <= 1e-6
         )
-        failures += not ok
         emit({"suite": "optimizer", "case": i, "ok": bool(ok)})
-    return failures
 
 
 def cmd_verify(args) -> int:
-    lines = []
-    emit = lambda obj: lines.append(json.dumps(obj))
-    graphs = _read_graphs(args) if (args.input or args.named) else None
+    graphs = None
+    if args.input or args.named:
+        if args.suite not in ("dominance", "all"):
+            raise InputError(
+                f"verify {args.suite} reads no graphs; only dominance and all take an input"
+            )
+        graphs = list(_read_graphs(args))
     suites = ["duality", "scaling", "product", "dominance", "optimizer"] \
         if args.suite == "all" else [args.suite]
-    failures = 0
-    for suite in suites:
-        if suite == "duality":
-            failures += _suite_duality(args.random, args.seed, emit)
-        elif suite == "scaling":
-            failures += _suite_scaling(min(args.random, 100), args.seed, emit)
-        elif suite == "product":
-            failures += _suite_product(args.seed, emit)
-        elif suite == "dominance":
-            failures += _suite_dominance(graphs, args.random, args.seed, emit)
-        elif suite == "optimizer":
-            failures += _suite_optimizer(min(args.random, 100), args.seed, emit)
-    total = len(lines)
-    emit({"passed": total - failures, "total": total, "ok": failures == 0})
-    _emit(lines, args)
+    verdicts = []
+    with _output(args) as write:
+        def emit(record: dict) -> None:
+            verdicts.append(record["ok"])
+            write(json.dumps(record))
+
+        for suite in suites:
+            if suite == "duality":
+                _suite_duality(args.random, args.seed, emit)
+            elif suite == "scaling":
+                _suite_scaling(min(args.random, 100), args.seed, emit)
+            elif suite == "product":
+                _suite_product(args.seed, emit)
+            elif suite == "dominance":
+                _suite_dominance(graphs, args.random, args.seed, emit)
+            elif suite == "optimizer":
+                _suite_optimizer(min(args.random, 100), args.seed, emit)
+        failures = verdicts.count(False)
+        emit({"passed": len(verdicts) - failures, "total": len(verdicts), "ok": failures == 0})
     return 0 if failures == 0 else 1
 
 
 def cmd_plot(args) -> int:
-    graphs = _read_graphs(args)
+    graphs = list(_read_graphs(args))
     if len(graphs) != 1:
         raise InputError("plot needs exactly one graph")
     if args.samples < 2:
@@ -233,7 +237,9 @@ def cmd_plot(args) -> int:
             lines.append("%.12g," % x)
         else:
             lines.append("%.12g,%.12g" % (x, value))
-    _emit(lines, args)
+    with _output(args) as write:
+        for line in lines:
+            write(line)
     return 0
 
 

@@ -32,34 +32,51 @@ class Graph6ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph on vertices 0..n-1 with an unordered edge set."""
+    """Immutable simple graph on vertices 0..n-1 with an unordered edge set.
+
+    `edges` may be given as any iterable of vertex pairs or as an (m, 2) int
+    array; reversed and repeated pairs collapse. Construction derives the
+    edge index once: int arrays `rows` and `cols` with rows[k] < cols[k], in
+    sorted order. Every matrix view and every edge-weight vector follows it.
+    """
 
     n: int
     edges: frozenset = field(default_factory=frozenset)
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    cols: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"vertex count must be >= 0, got {self.n}")
-        canon = set()
-        for e in self.edges:
-            i, j = e
-            if i == j:
-                raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge {e} has endpoint outside [0, {self.n})")
-            canon.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "edges", frozenset(canon))
+        edges = self.edges
+        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.intp)
+        if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
+            raise ValueError(f"edges must be vertex pairs, got shape {pairs.shape}")
+        i, j = pairs.reshape(-1, 2).T
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        loops = lo == hi
+        if loops.any():
+            raise ValueError(f"self-loop at vertex {lo[loops][0]}")
+        outside = (lo < 0) | (hi >= self.n)
+        if outside.any():
+            k = np.flatnonzero(outside)[0]
+            raise ValueError(f"edge {(int(i[k]), int(j[k]))} has endpoint outside [0, {self.n})")
+        # one sort of the keys lo * n + hi, then repeated pairs dropped
+        base = max(self.n, 1)
+        key = np.sort(lo * base + hi)
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        rows, cols = np.divmod(key[first], base)
+        object.__setattr__(self, "edges", frozenset(zip(rows.tolist(), cols.tolist())))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.rows)
 
-    def degrees(self) -> list:
-        deg = [0] * self.n
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+    def degrees(self) -> np.ndarray:
+        return np.bincount(np.concatenate([self.rows, self.cols]), minlength=self.n)
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
@@ -69,19 +86,18 @@ class Graph:
 
     def is_regular(self) -> bool:
         deg = self.degrees()
-        return self.n == 0 or all(d == deg[0] for d in deg)
-
-
-def _pair_order(n: int):
-    # graph6 bit order: upper triangle, column by column
-    for j in range(1, n):
-        for i in range(j):
-            yield i, j
+        return self.n == 0 or bool((deg == deg[0]).all())
 
 
 # graph6 vertex counts: one byte up to 62, '~' plus three bytes (18 bits) above.
 SHORT_FORM_MAX_N = 62
 LONG_FORM_MAX_N = (1 << 18) - 1
+GRAPH6_CHARS = bytes(range(63, 127))
+
+
+def _body_length(n: int) -> int:
+    """Bytes of the graph6 data section: one bit per vertex pair, six bits per byte."""
+    return (n * (n - 1) // 2 + 5) // 6
 
 
 def parse_graph6(data) -> Graph:
@@ -97,9 +113,11 @@ def parse_graph6(data) -> Graph:
         data = data[len(b">>graph6<<"):]
     if not data:
         raise Graph6ParseError("empty graph6 input", 0)
-    for off, b in enumerate(data):
-        if not (63 <= b <= 126):
-            raise Graph6ParseError(f"character {b!r} outside graph6 range [63, 126]", off)
+    stray = data.translate(None, GRAPH6_CHARS)
+    if stray:
+        raise Graph6ParseError(
+            f"character {stray[0]!r} outside graph6 range [63, 126]", data.index(stray[0])
+        )
     if data[0] != 126:
         n, header = data[0] - 63, 1
     elif data[1:2] == b"~":
@@ -109,37 +127,31 @@ def parse_graph6(data) -> Graph:
     else:
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
         header = 4
-    need = (n * (n - 1) // 2 + 5) // 6
-    body = data[header:]
+    need = _body_length(n)
+    body = np.frombuffer(data, dtype=np.uint8, offset=header) - 63
     if len(body) < need:
         raise Graph6ParseError(f"data section too short: need {need} bytes, got {len(body)}", len(data))
     if len(body) > need:
         raise Graph6ParseError("trailing garbage after graph6 data", header + need)
-    bits = []
-    for b in body:
-        v = b - 63
-        bits.extend((v >> k) & 1 for k in range(5, -1, -1))
-    edges = {(i, j) for (i, j), bit in zip(_pair_order(n), bits) if bit}
-    return Graph(n, frozenset(edges))
+    # six bits per byte, high bit first, over the pairs i < j column by column
+    bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()[: n * (n - 1) // 2]
+    j, i = np.tril_indices(n, -1)
+    hit = bits.astype(bool)
+    return Graph(n, np.column_stack([i[hit], j[hit]]))
 
 
 def encode_graph6(g: Graph) -> bytes:
     """Inverse of parse_graph6: short form for n <= 62, 18-bit long form above."""
     if g.n > LONG_FORM_MAX_N:
         raise ValueError(f"graph6 without the 36-bit form supports n <= {LONG_FORM_MAX_N} only")
-    bits = [1 if g.has_edge(i, j) else 0 for i, j in _pair_order(g.n)]
-    while len(bits) % 6:
-        bits.append(0)
     if g.n <= SHORT_FORM_MAX_N:
-        out = [g.n + 63]
+        header = [g.n + 63]
     else:
-        out = [126] + [((g.n >> shift) & 63) + 63 for shift in (12, 6, 0)]
-    for k in range(0, len(bits), 6):
-        v = 0
-        for bit in bits[k:k + 6]:
-            v = (v << 1) | bit
-        out.append(v + 63)
-    return bytes(out)
+        header = [126] + [((g.n >> shift) & 63) + 63 for shift in (12, 6, 0)]
+    bits = np.zeros(6 * _body_length(g.n), dtype=np.uint8)
+    bits[g.cols * (g.cols - 1) // 2 + g.rows] = 1    # pair (i, j) in column order
+    body = (np.packbits(bits.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63
+    return bytes(header) + body.tobytes()
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -154,18 +166,13 @@ def parse_edge_list(text: str) -> Graph:
     rest = tokens[1:]
     if len(rest) % 2:
         raise ValueError("odd number of endpoint tokens")
-    edges = set()
+    pairs = []
     for a, b in zip(rest[::2], rest[1::2]):
         try:
-            i, j = int(a), int(b)
+            pairs.append((int(a), int(b)))
         except ValueError:
             raise ValueError(f"non-integer endpoint: {a!r} {b!r}") from None
-        if i == j:
-            raise ValueError(f"self-loop at vertex {i}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) has endpoint outside [0, {n})")
-        edges.add((min(i, j), max(i, j)))
-    return Graph(n, frozenset(edges))
+    return Graph(n, pairs)
 
 
 # Fixed edge list of the 10-vertex, 18-edge Golomb graph: a hexagonal wheel
@@ -259,30 +266,24 @@ def _require_n(name: str, n) -> None:
 def adjacency(g: Graph) -> np.ndarray:
     """0/1 adjacency matrix as a dense symmetric float array."""
     a = np.zeros((g.n, g.n))
-    for i, j in g.edges:
-        a[i, j] = a[j, i] = 1.0
+    a[g.rows, g.cols] = 1.0
+    a[g.cols, g.rows] = 1.0
     return a
 
 
 def laplacian(g: Graph) -> np.ndarray:
     """L = D - A; row sums are exactly zero."""
-    a = adjacency(g)
-    return np.diag(a.sum(axis=1)) - a
+    return np.diag(g.degrees()) - adjacency(g)
 
 
 def min_degree(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    return min(g.degrees())
+    return int(g.degrees().min()) if g.n else 0
 
 
 def strong_product(g: Graph, h: Graph) -> Graph:
-    """Strong product with pair (i, j) labeled i * h.n + j."""
-    edges = set()
-    pairs = [(i, j) for i in range(g.n) for j in range(h.n)]
-    for (i, j), (i2, j2) in combinations(pairs, 2):
-        g_adj = g.has_edge(i, i2)
-        h_adj = h.has_edge(j, j2)
-        if (g_adj and h_adj) or (g_adj and j == j2) or (i == i2 and h_adj):
-            edges.add((i * h.n + j, i2 * h.n + j2))
-    return Graph(g.n * h.n, frozenset(edges))
+    """Strong product with pair (i, j) labeled i * h.n + j.
+
+    Its edges are the nonzeros above the diagonal of kron(A_g + I, A_h + I).
+    """
+    closed = np.kron(adjacency(g) + np.eye(g.n), adjacency(h) + np.eye(h.n))
+    return Graph(g.n * h.n, np.argwhere(np.triu(closed, 1)))

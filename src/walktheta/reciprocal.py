@@ -187,23 +187,18 @@ def _scan_segment(f: ReciprocalSum, xs: np.ndarray, found: list) -> None:
         found.append(float(xs[k]))
 
 
-def enumerate_critical_points(f: ReciprocalSum, x_range: tuple = None) -> list:
+def enumerate_critical_points(f: ReciprocalSum) -> list:
     """All critical points found by dense scan + bisection, as (x, f(x), f'' sign).
 
-    The scan covers every pole-free interval of the given range (default: the
-    pole hull with margin) plus geometric outer tails.
+    The scan covers every pole-free interval of the pole hull with margin,
+    plus geometric outer tails.
     """
     if set(f.rates) <= {0.0}:
         return []
     poles = list(f.poles)
     span = poles[-1] - poles[0] + 1.0
-    if x_range is None:
-        lo = poles[0] - 0.5 * span - 1.0
-        hi = poles[-1] + 0.5 * span + 1.0
-    else:
-        lo, hi = x_range
-        if lo > poles[0] - POLE_MARGIN or hi < poles[-1] + POLE_MARGIN:
-            raise ValueError("x_range must cover all finite poles with margin")
+    lo = poles[0] - 0.5 * span - 1.0
+    hi = poles[-1] + 0.5 * span + 1.0
     found = []
     cuts = [lo] + poles + [hi]
     for a, b in zip(cuts[:-1], cuts[1:]):

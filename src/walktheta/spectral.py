@@ -81,7 +81,7 @@ def eig_sym(m: np.ndarray) -> SpectralData:
     return data
 
 
-def cluster_weights(data: SpectralData, tol_cluster: float = None, tol_weight: float = None) -> tuple:
+def cluster_weights(data: SpectralData) -> tuple:
     """Merge near-equal eigenvalues and sum the all-ones overlaps per cluster.
 
     Zero-weight clusters are dropped: the corresponding reciprocal poles are
@@ -91,11 +91,8 @@ def cluster_weights(data: SpectralData, tol_cluster: float = None, tol_weight: f
     n = len(vals)
     if n == 0:
         return ()
-    scale = max(1.0, float(np.linalg.norm(vals)))
-    if tol_cluster is None:
-        tol_cluster = TOL_CLUSTER * scale
-    if tol_weight is None:
-        tol_weight = TOL_WEIGHT * n
+    tol_cluster = TOL_CLUSTER * max(1.0, float(np.linalg.norm(vals)))
+    tol_weight = TOL_WEIGHT * n
     overlaps = (np.ones(n) @ data.eigenvectors) ** 2
     clusters = []
     start = 0

@@ -11,12 +11,12 @@ extraction turns that minimum into a certified point on the sphere
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral, walkgen
-from .graphs import Graph, strong_product
+from .graphs import Graph, adjacency, strong_product
 from .independent_set import independence_number
 from .reciprocal import ReciprocalSum
 
@@ -33,18 +33,16 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-7
+# Subgradient descent stops once the best value improved by less than the
+# stall tolerance over this many iterations.
+STALL_WINDOW = 200
 
 
-def _edge_index(g: Graph) -> tuple:
-    """Row and column index arrays of g's edges in sorted order, the order of the weights."""
-    edges = np.array(sorted(g.edges), dtype=np.intp).reshape(-1, 2)
-    return edges[:, 0], edges[:, 1]
-
-
-def _weight_matrix(n: int, rows: np.ndarray, cols: np.ndarray, weights) -> np.ndarray:
-    a = np.zeros((n, n))
-    a[rows, cols] = weights
-    a[cols, rows] = weights
+def _weight_matrix(g: Graph, weights) -> np.ndarray:
+    """Symmetric zero-diagonal matrix with `weights` on g's edges, in edge-index order."""
+    a = np.zeros((g.n, g.n))
+    a[g.rows, g.cols] = weights
+    a[g.cols, g.rows] = weights
     return a
 
 
@@ -52,25 +50,19 @@ def _weight_matrix(n: int, rows: np.ndarray, cols: np.ndarray, weights) -> np.nd
 class WeightedAdjacency:
     """Edge weights over a fixed graph; induces a symmetric zero-diagonal matrix.
 
-    `weights` follow the sorted edge order; `rows` and `cols` index those
-    edges and are derived from the graph once, at construction.
+    `weights` follow the graph's edge index (`graph.rows`, `graph.cols`).
     """
 
     graph: Graph
     weights: tuple
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
-    cols: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows, cols = _edge_index(self.graph)
-        if len(self.weights) != len(rows):
-            raise ValueError(f"need {len(rows)} weights, got {len(self.weights)}")
+        if len(self.weights) != self.graph.num_edges:
+            raise ValueError(f"need {self.graph.num_edges} weights, got {len(self.weights)}")
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
 
     def matrix(self) -> np.ndarray:
-        return _weight_matrix(self.graph.n, self.rows, self.cols, self.weights)
+        return _weight_matrix(self.graph, self.weights)
 
     @classmethod
     def unweighted(cls, g: Graph) -> "WeightedAdjacency":
@@ -132,9 +124,7 @@ def minimize_theta(
     g: Graph,
     max_iter: int = 5000,
     stall_tol: float = 1e-6,
-    stall_window: int = 200,
     init_weights=None,
-    scale_polish: bool = True,
     alpha_oracle: bool = False,
 ) -> ThetaEstimate:
     """Subgradient descent on lambda_max(J - A) over edge weights.
@@ -144,8 +134,7 @@ def minimize_theta(
     search along the scaling ray t * A_best (exact for the 1-D convex
     restriction) polishes the result.
     """
-    rows, cols = _edge_index(g)
-    m = len(rows)
+    m = g.num_edges
     n = g.n
     lower = float(independence_number(g)) if alpha_oracle else None
     if m == 0:
@@ -162,7 +151,7 @@ def minimize_theta(
     iterations = 0
     for k in range(1, max_iter + 1):
         iterations = k
-        value, grad = _subgradient(rows, cols, ones - _weight_matrix(n, rows, cols, w))
+        value, grad = _subgradient(g.rows, g.cols, ones - _weight_matrix(g, w))
         if value < best_val:
             best_val = value
             best_w = w.copy()
@@ -174,20 +163,19 @@ def minimize_theta(
         if step_c is None:
             step_c = n / gnorm
         w = w - (step_c / math.sqrt(k)) * grad
-        if k >= stall_window and history[-stall_window] - best_val < stall_tol:
+        if k >= STALL_WINDOW and history[-STALL_WINDOW] - best_val < stall_tol:
             converged = True
             break
-    if scale_polish:
-        w_init = np.ones(m) if init_weights is None else np.asarray(init_weights, dtype=float)
-        rays = [best_w] if np.allclose(w_init, best_w) else [best_w, w_init]
-        for ray in rays:
-            if np.linalg.norm(ray) <= walkgen.ZERO_NORM:
-                continue
-            t, value = optimal_scaling(_weight_matrix(n, rows, cols, ray))
-            if value < best_val:
-                best_val = value
-                best_w = t * ray
-                history.append(best_val)
+    w_init = np.ones(m) if init_weights is None else np.asarray(init_weights, dtype=float)
+    rays = [best_w] if np.allclose(w_init, best_w) else [best_w, w_init]
+    for ray in rays:
+        if np.linalg.norm(ray) <= walkgen.ZERO_NORM:
+            continue
+        t, value = optimal_scaling(_weight_matrix(g, ray))
+        if value < best_val:
+            best_val = value
+            best_w = t * ray
+            history.append(best_val)
     return ThetaEstimate(
         upper=float(best_val),
         lower=lower,
@@ -302,20 +290,21 @@ def product_adjacency(
     eigenvalue pairs. Each gamma must avoid the open band where the shifted
     factor is indefinite.
     """
-    data_g, data_h = spectral.eig_sym(wa_g.matrix()), spectral.eig_sym(wa_h.matrix())
+    a_g, a_h = wa_g.matrix(), wa_h.matrix()
+    data_g, data_h = spectral.eig_sym(a_g), spectral.eig_sym(a_h)
     product = strong_product(wa_g.graph, wa_h.graph)
-    return _shifted_product(wa_g, data_g, gamma_g, wa_h, data_h, gamma_h, product)
+    m = _shifted_product(a_g, data_g, gamma_g, a_h, data_h, gamma_h, product)
+    return WeightedAdjacency(product, m[product.rows, product.cols])
 
 
-def _shifted_product(wa_g, data_g, gamma_g, wa_h, data_h, gamma_h, product: Graph) -> WeightedAdjacency:
-    """product_adjacency for decomposed factors and their already-built strong product."""
+def _shifted_product(a_g, data_g, gamma_g, a_h, data_h, gamma_h, product: Graph) -> np.ndarray:
+    """product_adjacency's matrix, for decomposed factor matrices and their strong product."""
     _check_shift("gamma_g", data_g, gamma_g)
     _check_shift("gamma_h", data_h, gamma_h)
-    ng, nh = wa_g.graph.n, wa_h.graph.n
-    m = np.kron(wa_g.matrix() + gamma_g * np.eye(ng), wa_h.matrix() + gamma_h * np.eye(nh))
+    ng, nh = len(a_g), len(a_h)
+    m = np.kron(a_g + gamma_g * np.eye(ng), a_h + gamma_h * np.eye(nh))
     m -= gamma_g * gamma_h * np.eye(ng * nh)
-    rows, cols = _edge_index(product)
-    return WeightedAdjacency(product, m[rows, cols])
+    return _weight_matrix(product, m[product.rows, product.cols])
 
 
 def _valid_gamma_samples(data: spectral.SpectralData, k: int, rng: np.random.Generator = None):
@@ -360,13 +349,12 @@ def submultiplicativity_check(
     W_product(-1/(gamma_g*gamma_h)) = W_g(-1/gamma_g) * W_h(-1/gamma_h)
     at `n_random` random valid shift pairs. Each factor is decomposed once.
     """
-    wa_g = WeightedAdjacency.unweighted(g)
-    wa_h = WeightedAdjacency.unweighted(h)
-    data_g, data_h = spectral.eig_sym(wa_g.matrix()), spectral.eig_sym(wa_h.matrix())
+    a_g, a_h = adjacency(g), adjacency(h)
+    data_g, data_h = spectral.eig_sym(a_g), spectral.eig_sym(a_h)
     product_graph = strong_product(g, h)
 
     def product(gg: float, gh: float) -> np.ndarray:
-        return _shifted_product(wa_g, data_g, gg, wa_h, data_h, gh, product_graph).matrix()
+        return _shifted_product(a_g, data_g, gg, a_h, data_h, gh, product_graph)
 
     rhs = walkgen.minimize(data_g).value * walkgen.minimize(data_h).value
     lhs = math.inf

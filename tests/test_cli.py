@@ -253,3 +253,48 @@ def test_removed_flags_are_rejected(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["bounds", "theta"])
+def test_parse_error_keeps_earlier_lines(capsys, tmp_path, command):
+    corpus = tmp_path / "bad.g6"
+    corpus.write_text("A_\nBw\nD?\nA_\n")    # K2, K3, then a truncated line 3
+    code, out, err = run_cli(capsys, command, str(corpus))
+    assert code == 2
+    assert f"{corpus}:3:" in err
+    assert len(out.splitlines()) == 2
+    report = tmp_path / "report.jsonl"
+    code, out, err = run_cli(capsys, command, str(corpus), "--output", str(report))
+    assert code == 2 and out == ""
+    assert f"{corpus}:3:" in err
+    assert len(report.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("argv", [["bounds"], ["theta"], ["plot"], ["verify", "dominance"]])
+def test_missing_input_file_opens_no_output(capsys, tmp_path, argv):
+    report = tmp_path / "report.jsonl"
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "absent.g6"), "--output", str(report))
+    assert code == 2
+    assert "absent.g6" in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("suite", ["duality", "scaling", "product", "optimizer"])
+def test_verify_suite_without_graphs_rejects_input(capsys, tmp_path, suite):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("A_\n")
+    for source in (["--named", "petersen"], [str(corpus)]):
+        code, out, err = run_cli(capsys, "verify", suite, *source, "--random", "2")
+        assert code == 2
+        assert out == ""
+        assert "dominance" in err
+
+
+def test_verify_dominance_and_all_take_named_input(capsys):
+    code, out, _ = run_cli(capsys, "verify", "dominance", "--named", "petersen")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["total"] == 1
+    code, out, _ = run_cli(capsys, "verify", "all", "--named", "petersen", "--random", "2")
+    assert code == 0
+    dominance = [json.loads(l) for l in out.splitlines() if '"dominance"' in l]
+    assert len(dominance) == 1

@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from walktheta.graphs import (
     Graph,
@@ -105,6 +109,46 @@ def test_graph6_round_trip(corpus):
         assert parse_graph6(encode_graph6(g)) == g, name
 
 
+@st.composite
+def vertex_pairs(draw, max_n=70):
+    """(n, pairs): n in [0, max_n], pairs with reversed and repeated entries, sparse or dense."""
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, max_size=3 * n))
+    if draw(st.booleans()):
+        # the complement, reversed: dense graphs fill whole graph6 bytes
+        chosen = {(min(i, j), max(i, j)) for i, j in pairs}
+        pairs = [(j, i) for j in range(n) for i in range(j) if (i, j) not in chosen]
+    return n, pairs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(vertex_pairs())
+def test_graph6_round_trip_matches_networkx(case):
+    nx = pytest.importorskip("networkx")
+    n, pairs = case
+    g = Graph(n, pairs)
+    line = encode_graph6(g)
+    assert parse_graph6(line) == g
+    theirs = nx.from_graph6_bytes(line)
+    assert theirs.number_of_nodes() == n
+    assert {(min(u, v), max(u, v)) for u, v in theirs.edges()} == g.edges
+    assert nx.to_graph6_bytes(theirs, header=False).strip() == line
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(vertex_pairs())
+def test_graph_from_array_equals_graph_from_pairs(case):
+    n, pairs = case
+    canonical = Graph(n, frozenset((min(i, j), max(i, j)) for i, j in pairs))
+    for g in (Graph(n, np.array(pairs, dtype=np.int64).reshape(-1, 2)), Graph(n, frozenset(pairs))):
+        assert g == canonical and hash(g) == hash(canonical)
+        assert list(zip(g.rows.tolist(), g.cols.tolist())) == sorted(canonical.edges)
+        assert np.array_equal(g.degrees(), adjacency(g).sum(axis=1))
+
+
 # --- edge lists ---
 
 def test_parse_edge_list_path():
@@ -172,6 +216,13 @@ def test_graph_validation():
     assert Graph(3, frozenset({(2, 0)})).edges == frozenset({(0, 2)})
 
 
+def test_graph_rejects_non_pairs():
+    with pytest.raises(ValueError, match="pairs"):
+        Graph(4, np.array([[0, 1, 2], [1, 2, 3]]))
+    with pytest.raises(ValueError, match="pairs"):
+        Graph(4, [(0, 1, 2), (1, 2, 3)])
+
+
 # --- matrices ---
 
 def test_adjacency_c5():
@@ -217,6 +268,21 @@ def test_strong_product_c5_c5_degrees():
     p = strong_product(generate_named("cycle", n=5), generate_named("cycle", n=5))
     assert p.n == 25
     assert set(p.degrees()) == {8}
+
+
+@pytest.mark.parametrize("na,nb", [("C5", "K2"), ("P3", "C4"), ("P5+iso", "star4"), ("golomb", "K1")])
+def test_strong_product_matches_definition(corpus, na, nb):
+    # reference: (i, j) ~ (i2, j2) when each coordinate is equal or adjacent, not both equal
+    graphs = dict(corpus)
+    g, h = graphs[na], graphs[nb]
+    vertices = [(i, j) for i in range(g.n) for j in range(h.n)]
+    close = lambda f, a, b: a == b or f.has_edge(a, b)
+    expected = {
+        (i * h.n + j, i2 * h.n + j2)
+        for (i, j), (i2, j2) in combinations(vertices, 2)
+        if close(g, i, i2) and close(h, j, j2)
+    }
+    assert strong_product(g, h).edges == expected
 
 
 @pytest.mark.parametrize("na,nb", [("C5", "K2"), ("P3", "C4"), ("K1", "P5"), ("star4", "K3")])

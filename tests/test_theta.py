@@ -141,7 +141,7 @@ def test_subgradient_equals_per_edge_reference():
         b, value, grad, width = reference_gradient(g, weights)
         assert width == mult
         assert np.array_equal(np.ones((g.n, g.n)) - wa.matrix(), b)
-        got_value, got_grad = _subgradient(wa.rows, wa.cols, b)
+        got_value, got_grad = _subgradient(g.rows, g.cols, b)
         assert got_value == value
         assert np.array_equal(got_grad, grad)
 
