@@ -109,7 +109,7 @@ def laplacian_bound(g: Graph) -> float:
     """n * (1 - min_degree / lam_max(L)); edgeless graphs give the trivial n."""
     if not g.edges:
         return float(g.n)
-    mu1 = spectral.eig_sym(laplacian(g)).lam_max
+    mu1 = float(spectral.eigh_checked(laplacian(g))[0][-1])   # checked, not clustered
     return float(g.n * (1.0 - min_degree(g) / mu1))
 
 
@@ -119,7 +119,7 @@ def report(g: Graph, known_alpha: int = None) -> BoundReport:
     When a known independence number is supplied, every computed bound must
     cover it; a violation raises since it would falsify a theorem. The
     adjacency matrix is decomposed once and shared by the walkgen, ratio and
-    closed-form bounds.
+    closed-form bounds; the Laplacian is decomposed and checked, not clustered.
     """
     if g.edges:
         data = spectral.eig_sym(adjacency(g))

@@ -135,7 +135,7 @@ def parse_graph6(data) -> Graph:
         raise Graph6ParseError("trailing garbage after graph6 data", header + need)
     # six bits per byte, high bit first, over the pairs i < j column by column
     bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()[: n * (n - 1) // 2]
-    j, i = np.tril_indices(n, -1)
+    j, i = np.nonzero(np.tri(n, k=-1, dtype=bool))   # the np.tril_indices(n, -1) arrays, faster
     hit = bits.astype(bool)
     return Graph(n, np.column_stack([i[hit], j[hit]]))
 

@@ -94,14 +94,17 @@ def cluster_weights(data: SpectralData) -> tuple:
     tol_cluster = TOL_CLUSTER * max(1.0, float(np.linalg.norm(vals)))
     tol_weight = TOL_WEIGHT * n
     overlaps = (np.ones(n) @ data.eigenvectors) ** 2
+    cuts = [0, *(np.flatnonzero(np.diff(vals) > tol_cluster) + 1).tolist(), n]
+    val_list, overlap_list = vals.tolist(), overlaps.tolist()
     clusters = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or vals[i] - vals[i - 1] > tol_cluster:
-            members = slice(start, i)
-            weight = float(np.sum(overlaps[members]))
-            rep = float(np.mean(vals[members]))
-            if weight > tol_weight:
-                clusters.append((rep, weight))
-            start = i
+    for start, stop in zip(cuts, cuts[1:]):
+        if stop - start == 1:
+            # equal to np.mean/np.sum of the slice; longer clusters keep those
+            # calls, since np.add.reduceat rounds differently in the last ulp
+            rep, weight = val_list[start], overlap_list[start]
+        else:
+            weight = float(np.sum(overlaps[start:stop]))
+            rep = float(np.mean(vals[start:stop]))
+        if weight > tol_weight:
+            clusters.append((rep, weight))
     return tuple(clusters)

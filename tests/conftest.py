@@ -28,18 +28,28 @@ def corpus():
     return build_corpus()
 
 
-@pytest.fixture
-def eig_calls(monkeypatch) -> list:
-    """Every matrix passed to `spectral.eig_sym` during the test, in call order."""
+def _record_matrices(monkeypatch, name: str) -> list:
     calls = []
-    real = spectral.eig_sym
+    real = getattr(spectral, name)
 
     def recording(m):
         calls.append(np.asarray(m, dtype=float))
         return real(m)
 
-    monkeypatch.setattr(spectral, "eig_sym", recording)
+    monkeypatch.setattr(spectral, name, recording)
     return calls
+
+
+@pytest.fixture
+def eig_calls(monkeypatch) -> list:
+    """Every matrix passed to `spectral.eig_sym` during the test, in call order."""
+    return _record_matrices(monkeypatch, "eig_sym")
+
+
+@pytest.fixture
+def eigh_checked_calls(monkeypatch) -> list:
+    """Every matrix passed to `spectral.eigh_checked` (eig_sym's included), in call order."""
+    return _record_matrices(monkeypatch, "eigh_checked")
 
 
 def plain_alpha(g: Graph) -> int:

@@ -152,16 +152,21 @@ def test_every_bound_at_least_one(corpus):
         assert rep.laplacian_bound >= 1.0 - 1e-9, name
 
 
-def test_report_decomposes_adjacency_and_laplacian_once(eig_calls):
-    # golomb is irregular; petersen is regular, so the ratio bound is computed too
+def test_report_decomposes_adjacency_and_laplacian_once(eig_calls, eigh_checked_calls):
+    # golomb is irregular; petersen is regular, so the ratio bound is computed too.
+    # Both matrices pass the checked eigensolver; only the adjacency is clustered.
     for name in ("golomb", "petersen"):
         g = generate_named(name)
         eig_calls.clear()
+        eigh_checked_calls.clear()
         rep = report(g)
         assert rep.hoffman_regular is None if name == "golomb" else rep.hoffman_regular is not None
-        assert len(eig_calls) == 2, name
+        assert len(eigh_checked_calls) == 2, name
+        assert np.array_equal(eigh_checked_calls[0], adjacency(g)), name
+        assert np.array_equal(eigh_checked_calls[1], laplacian(g)), name
+        assert len(eig_calls) == 1, name
         assert np.array_equal(eig_calls[0], adjacency(g)), name
-        assert np.array_equal(eig_calls[1], laplacian(g)), name
     eig_calls.clear()
+    eigh_checked_calls.clear()
     report(generate_named("empty", n=4))
-    assert eig_calls == []
+    assert eig_calls == [] and eigh_checked_calls == []

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from walktheta import cli
+from walktheta import cli, reciprocal
 from walktheta.cli import main
 from walktheta.graphs import encode_graph6, generate_named
 
@@ -204,6 +204,37 @@ def test_numeric_failure_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "residual" in err
+
+
+def test_laplacian_residual_failure_exits_1(capsys, monkeypatch):
+    # wrong vectors only for the Laplacian (the one matrix with a nonzero
+    # diagonal): its residual is still checked although it is not clustered
+    real = np.linalg.eigh
+
+    def eigh(m):
+        vals, vecs = real(m)
+        return (vals, vecs[:, ::-1]) if np.trace(m) > 0 else (vals, vecs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    code, out, err = run_cli(capsys, "bounds", "--named", "golomb")
+    assert code == 1
+    assert out == ""
+    assert "residual" in err
+
+
+def test_verify_duality_scans_once_per_case(capsys, monkeypatch):
+    calls = []
+    real = reciprocal.enumerate_critical_points
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(reciprocal, "enumerate_critical_points", counting)
+    code, out, _ = run_cli(capsys, "verify", "duality", "--random", "20")
+    assert code == 0
+    assert len(out.splitlines()) == 21
+    assert len(calls) == 20
 
 
 def test_theta_numeric_failure_exits_1(capsys, monkeypatch):

@@ -2,9 +2,84 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from walktheta.graphs import adjacency, generate_named
+from walktheta import spectral
+from walktheta.graphs import adjacency, generate_named, laplacian, parse_graph6
 from walktheta.spectral import eig_sym, eigh_checked
+
+# bounds-corpus reference line 44 (perfbench/reference/bounds_oracle.json): its
+# adjacency has an interior eigenvalue cluster whose all-ones weight is dropped
+DROPPED_INTERIOR_G6 = (
+    r"`|~~~l~n~s~e~]^}^ivn}z~~~|}zn~v}^mnz~~~^~}}zzx~v~t}s\eVn~|z~~~v~~n~z~nm}~~^ynzz~Z}^}~}~]x"
+)
+
+
+def loop_cluster_weights(data, drop=True) -> tuple:
+    """Per-index cluster loop with np.sum/np.mean on every cluster: the oracle for cluster_weights."""
+    vals = data.eigenvalues
+    n = len(vals)
+    if n == 0:
+        return ()
+    tol_cluster = spectral.TOL_CLUSTER * max(1.0, float(np.linalg.norm(vals)))
+    tol_weight = spectral.TOL_WEIGHT * n if drop else -math.inf
+    overlaps = (np.ones(n) @ data.eigenvectors) ** 2
+    clusters = []
+    start = 0
+    for i in range(1, n + 1):
+        if i == n or vals[i] - vals[i - 1] > tol_cluster:
+            members = slice(start, i)
+            weight = float(np.sum(overlaps[members]))
+            rep = float(np.mean(vals[members]))
+            if weight > tol_weight:
+                clusters.append((rep, weight))
+            start = i
+    return tuple(clusters)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    spectrum=st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 4)), min_size=1, max_size=5),
+    jitter=st.sampled_from([0.0, 1e-7, 1e-6]),
+    ones_eigenvector=st.booleans(),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_cluster_weights_equals_loop_on_repeated_eigenvalues(spectrum, jitter, ones_eigenvector, seed):
+    # jitter splits repeated eigenvalues by gaps near the clustering tolerance
+    rng = np.random.default_rng(seed)
+    vals = np.repeat([float(v) for v, _ in spectrum], [k for _, k in spectrum])
+    n = len(vals)
+    vals = vals + jitter * rng.normal(size=n)
+    basis = rng.normal(size=(n, n))
+    if ones_eigenvector:
+        basis[:, 0] = 1.0       # every other eigenvector is orthogonal to 1: clusters drop
+    q, _ = np.linalg.qr(basis)
+    m = (q * vals) @ q.T
+    data = eig_sym(m + m.T)     # exactly symmetric, multiplicities kept
+    assert data.clusters == loop_cluster_weights(data)
+
+
+@pytest.mark.parametrize("g", [
+    generate_named("petersen"),
+    generate_named("kneser", n=7, k=2),
+    *(generate_named("complete", n=n) for n in (1, 2, 5, 9)),
+    *(generate_named("cycle", n=n) for n in (3, 5, 8, 12)),
+    generate_named("empty", n=4),
+    parse_graph6(DROPPED_INTERIOR_G6),
+], ids=lambda g: f"n{g.n}m{g.num_edges}")
+def test_cluster_weights_equals_loop_on_graphs(g):
+    for m in (adjacency(g), laplacian(g)):
+        data = eig_sym(m)
+        assert data.clusters == loop_cluster_weights(data)
+
+
+def test_dropped_interior_cluster_fixture():
+    data = eig_sym(adjacency(parse_graph6(DROPPED_INTERIOR_G6)))
+    reps = [rep for rep, _ in loop_cluster_weights(data, drop=False)]
+    kept = [rep for rep, _ in data.clusters]
+    dropped = [rep for rep in reps if rep not in kept]
+    assert dropped and all(reps[0] < rep < reps[-1] for rep in dropped)
 
 
 def test_zero_matrix():
