@@ -20,7 +20,6 @@ from .reciprocal import (
     central_strip,
     enumerate_critical_points,
     has_critical_points,
-    polynomial_critical_points,
     verify_duality,
 )
 from .walkgen import (

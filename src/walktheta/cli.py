@@ -125,9 +125,16 @@ def _suite_scaling(count: int, seed: int, emit) -> None:
     rng = np.random.default_rng(seed)
     for i in range(count):
         a = random_weighted(rng)
-        _, scaled = theta.optimal_scaling(a)
+        t, scaled = theta.optimal_scaling(a)
         direct = walkgen.minimize_on_spectral_interval(a).value
-        ok = abs(scaled - direct) <= 1e-6
+        # s -> lambda_max(J - s*a) is convex, so a t no worse than both
+        # neighbours is a global minimiser
+        ones = np.ones(a.shape)
+        delta = 1e-4 * (1.0 + abs(t))
+        left, mid, right = (float(np.linalg.eigvalsh(ones - s * a)[-1])
+                            for s in (t - delta, t, t + delta))
+        minimal = mid <= min(left, right) + 1e-12 * float(np.linalg.norm(ones - t * a))
+        ok = abs(scaled - direct) <= 1e-6 and minimal
         emit({"suite": "scaling", "case": i, "ok": bool(ok),
               "scaled": scaled, "direct": direct})
 

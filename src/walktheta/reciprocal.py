@@ -5,9 +5,9 @@ symmetric matrix's eigenvalue clusters it is the walk-generating function
 <1, (I - xA)^-1 1>. Such sums have at most 2(N - 1) critical points; when
 the pole rates carry both signs, the critical point with the largest
 f-value is the unique minimum of f on the central strip between the extreme
-reciprocal poles. Two independent root finders are provided: a
-dense-scan-plus-bisection enumerator and a companion-matrix polynomial
-solver, so tests can cross-check them.
+reciprocal poles. Critical points are found by a dense scan plus
+bisection; the test suite cross-checks it against a companion-matrix
+polynomial solver.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "has_critical_points",
     "central_strip",
     "enumerate_critical_points",
-    "polynomial_critical_points",
     "verify_duality",
     "random_instance",
 ]
@@ -218,38 +217,6 @@ def enumerate_critical_points(f: ReciprocalSum) -> list:
             continue
         out.append((x, f.value(x), int(np.sign(f.second_derivative(x)))))
     return out
-
-
-def polynomial_critical_points(f: ReciprocalSum) -> list:
-    """Real roots of the cleared-denominator derivative polynomial (companion matrix).
-
-    Independent of the scanning enumerator; returns bare x locations.
-    """
-    coeffs = np.zeros(1)
-    for i, (a, b) in enumerate(zip(f.weights, f.rates)):
-        term = np.array([a * b])
-        for j, c in enumerate(f.rates):
-            if j != i:
-                factor = np.array([1.0, -c])
-                term = np.polynomial.polynomial.polymul(
-                    term, np.polynomial.polynomial.polymul(factor, factor)
-                )
-        n = max(len(coeffs), len(term))
-        coeffs = np.pad(coeffs, (0, n - len(coeffs))) + np.pad(term, (0, n - len(term)))
-    while len(coeffs) > 1 and coeffs[-1] == 0.0:
-        coeffs = coeffs[:-1]
-    if len(coeffs) <= 1:
-        return []
-    roots = np.polynomial.polynomial.polyroots(coeffs)
-    out = []
-    for r in roots:
-        if abs(r.imag) > 1e-8 * (1.0 + abs(r.real)):
-            continue
-        x = float(r.real)
-        if any(abs(x - p) <= POLE_MARGIN * (1.0 + abs(p)) for p in f.poles):
-            continue
-        out.append(x)
-    return sorted(out)
 
 
 def _strip_minimum(f: ReciprocalSum, strip: tuple) -> tuple:

@@ -2,8 +2,9 @@
 
 The estimate minimizes lambda_max(J - A) over symmetric matrices A supported
 on the edges, which upper-bounds the independence number for every feasible
-A. A one-dimensional scaling search realizes the same value as the interval
-minimum of the walk-generating function for a fixed A; the optimizer vector
+A. For a fixed A, min_t lambda_max(J - tA) equals the interval minimum of the
+walk-generating function, so the polish along the scaling ray reads off the
+walk-function minimum instead of searching over t; the optimizer vector
 extraction turns that minimum into a certified point on the sphere
 <1, v> = |v|^2 with <v, A v> = 0.
 """
@@ -130,9 +131,9 @@ def minimize_theta(
     """Subgradient descent on lambda_max(J - A) over edge weights.
 
     Diminishing steps c / sqrt(k) with c = n / |g_1|; the best value seen is
-    kept, so the reported upper bound is sound for any iterate. A final line
-    search along the scaling ray t * A_best (exact for the 1-D convex
-    restriction) polishes the result.
+    kept, so the reported upper bound is sound for any iterate. A final
+    polish along the scaling ray t * A_best reads off the walk-function
+    minimum (`optimal_scaling`) and keeps lambda_max(J - t * A_best) if lower.
     """
     m = g.num_edges
     n = g.n
@@ -187,48 +188,19 @@ def minimize_theta(
 
 
 def optimal_scaling(a: np.ndarray) -> tuple:
-    """Minimize the convex map t -> lambda_max(J - t*a) by golden section + bisection."""
+    """Minimize the convex map t -> lambda_max(J - t*a) by reading off the walk-function minimum.
+
+    At the interval minimum x* of W_a, t = -x* W(x*). The value returned is
+    lambda_max(J - t*a) itself, an eigenvalue of a feasible weighting, so it
+    is an upper bound whatever t is; W(x*) is not returned.
+    """
     a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    norm = float(np.linalg.norm(a))
-    if norm <= walkgen.ZERO_NORM:
+    data = spectral.eig_sym(a)
+    if data.norm <= walkgen.ZERO_NORM:
         raise ValueError("optimal scaling needs a nonzero matrix")
-    ones = np.ones((n, n))
-
-    def f(t: float) -> float:
-        return float(np.linalg.eigvalsh(ones - t * a)[-1])
-
-    sing = np.abs(np.linalg.eigvalsh(a))
-    sigma_min = float(np.min(sing[sing > 1e-12 * norm]))
-    reach = 4.0 * n / sigma_min
-    lo, hi = -reach, reach
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(140):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = f(x2)
-    t = x1 if f1 <= f2 else x2
-    # refine on the sign of the symmetric slope, robust at eigenvalue crossings
-    h = 1e-9 * (1.0 + abs(t))
-    lo2, hi2 = t - 1e4 * h, t + 1e4 * h
-    for _ in range(60):
-        mid = 0.5 * (lo2 + hi2)
-        if f(mid + h) - f(mid - h) > 0.0:
-            hi2 = mid
-        else:
-            lo2 = mid
-    t_ref = 0.5 * (lo2 + hi2)
-    candidates = [(f(t), t), (f(t_ref), t_ref)]
-    value, t_star = min(candidates)
-    return float(t_star), float(value)
+    opt = walkgen.minimize(data)
+    t = -opt.x_star * opt.value
+    return float(t), float(np.linalg.eigvalsh(np.ones(a.shape) - t * a)[-1])
 
 
 def extract_optimizer(a: np.ndarray) -> OptimizerVector:

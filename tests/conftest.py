@@ -1,11 +1,13 @@
-"""Shared fixtures: a graph corpus, random generators, and a plain alpha oracle."""
+"""Shared fixtures: a graph corpus, random generators, and plain alpha and scaling oracles."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
-from walktheta import spectral
+from walktheta import spectral, walkgen
 from walktheta.corpus import fixture_graphs, random_graph  # noqa: F401 (re-exported)
 from walktheta.corpus import random_weighted as random_weighted_matrix  # noqa: F401
 from walktheta.graphs import Graph, generate_named
@@ -71,3 +73,52 @@ def plain_alpha(g: Graph) -> int:
         if ok:
             best = max(best, bin(mask).count("1"))
     return best
+
+
+def reference_optimal_scaling(a: np.ndarray) -> tuple:
+    """Minimize the convex map t -> lambda_max(J - t*a) by golden section + bisection.
+
+    A direct search over t, independent of the walk-generating function
+    (oracle for `theta.optimal_scaling`; about 530 eigvalsh calls).
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    norm = float(np.linalg.norm(a))
+    if norm <= walkgen.ZERO_NORM:
+        raise ValueError("optimal scaling needs a nonzero matrix")
+    ones = np.ones((n, n))
+
+    def f(t: float) -> float:
+        return float(np.linalg.eigvalsh(ones - t * a)[-1])
+
+    sing = np.abs(np.linalg.eigvalsh(a))
+    sigma_min = float(np.min(sing[sing > 1e-12 * norm]))
+    reach = 4.0 * n / sigma_min
+    lo, hi = -reach, reach
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(140):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = f(x2)
+    t = x1 if f1 <= f2 else x2
+    # refine on the sign of the symmetric slope, robust at eigenvalue crossings
+    h = 1e-9 * (1.0 + abs(t))
+    lo2, hi2 = t - 1e4 * h, t + 1e4 * h
+    for _ in range(60):
+        mid = 0.5 * (lo2 + hi2)
+        if f(mid + h) - f(mid - h) > 0.0:
+            hi2 = mid
+        else:
+            lo2 = mid
+    t_ref = 0.5 * (lo2 + hi2)
+    candidates = [(f(t), t), (f(t_ref), t_ref)]
+    value, t_star = min(candidates)
+    return float(t_star), float(value)

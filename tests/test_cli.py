@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from walktheta import cli, reciprocal
+from walktheta import cli, reciprocal, theta
 from walktheta.cli import main
 from walktheta.graphs import encode_graph6, generate_named
 
@@ -101,6 +101,20 @@ def test_verify_scaling(capsys):
     code, out, _ = run_cli(capsys, "verify", "scaling", "--random", "10", "--seed", "3")
     assert code == 0
     assert json.loads(out.splitlines()[-1])["ok"]
+
+
+def test_verify_scaling_rejects_a_non_minimiser(capsys, monkeypatch):
+    # the value stays right, so only the convexity certificate can fail
+    real = theta.optimal_scaling
+
+    def off_by_one_percent(a):
+        t, value = real(a)
+        return 1.01 * t, value
+
+    monkeypatch.setattr(theta, "optimal_scaling", off_by_one_percent)
+    code, out, _ = run_cli(capsys, "verify", "scaling", "--random", "10")
+    assert code == 1
+    assert not json.loads(out.splitlines()[-1])["ok"]
 
 
 def test_verify_product(capsys):

@@ -5,15 +5,49 @@ from hypothesis import strategies as st
 
 from walktheta.graphs import adjacency, generate_named
 from walktheta.reciprocal import (
+    POLE_MARGIN,
     ReciprocalSum,
     central_strip,
     enumerate_critical_points,
     has_critical_points,
-    polynomial_critical_points,
     random_instance,
     verify_duality,
 )
 from walktheta.spectral import eig_sym
+
+
+def polynomial_critical_points(f: ReciprocalSum) -> list:
+    """Real roots of the cleared-denominator derivative polynomial (companion matrix).
+
+    An oracle independent of the scanning enumerator; returns bare x
+    locations. Ill-conditioned on graph-sized sums (P17, Golomb), so it is
+    used only on small random instances.
+    """
+    coeffs = np.zeros(1)
+    for i, (a, b) in enumerate(zip(f.weights, f.rates)):
+        term = np.array([a * b])
+        for j, c in enumerate(f.rates):
+            if j != i:
+                factor = np.array([1.0, -c])
+                term = np.polynomial.polynomial.polymul(
+                    term, np.polynomial.polynomial.polymul(factor, factor)
+                )
+        n = max(len(coeffs), len(term))
+        coeffs = np.pad(coeffs, (0, n - len(coeffs))) + np.pad(term, (0, n - len(term)))
+    while len(coeffs) > 1 and coeffs[-1] == 0.0:
+        coeffs = coeffs[:-1]
+    if len(coeffs) <= 1:
+        return []
+    roots = np.polynomial.polynomial.polyroots(coeffs)
+    out = []
+    for r in roots:
+        if abs(r.imag) > 1e-8 * (1.0 + abs(r.real)):
+            continue
+        x = float(r.real)
+        if any(abs(x - p) <= POLE_MARGIN * (1.0 + abs(p)) for p in f.poles):
+            continue
+        out.append(x)
+    return sorted(out)
 
 
 def walk_terms(name, **kwargs) -> ReciprocalSum:

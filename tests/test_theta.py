@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import plain_alpha, random_weighted_matrix
+from conftest import plain_alpha, random_weighted_matrix, reference_optimal_scaling
 from walktheta import theta
 from walktheta.graphs import Graph, adjacency, generate_named, strong_product
 from walktheta.independent_set import independence_number, max_independent_set
@@ -147,8 +147,13 @@ def test_subgradient_equals_per_edge_reference():
 
 
 def test_minimize_theta_skips_cluster_weights(eig_calls):
-    minimize_theta(generate_named("petersen"), max_iter=50)
-    assert eig_calls == []
+    # subgradient steps cluster nothing; the polish decomposes each ray once
+    counts = []
+    for max_iter in (5, 50):
+        minimize_theta(generate_named("petersen"), max_iter=max_iter)
+        counts.append(len(eig_calls))
+        eig_calls.clear()
+    assert counts[0] == counts[1] <= 2
 
 
 def test_minimize_theta_keeps_residual_check(monkeypatch):
@@ -191,6 +196,21 @@ def test_scaling_duality_random():
         _, scaled = optimal_scaling(a)
         direct = minimize_on_spectral_interval(a).value
         assert abs(scaled - direct) <= 1e-6
+        _, searched = reference_optimal_scaling(a)
+        assert abs(scaled - searched) <= 1e-9 * abs(searched)
+
+
+@pytest.mark.parametrize("family, n", [("cycle", n) for n in range(5, 22, 2)]
+                         + [("kneser", n) for n in range(5, 10)])
+def test_optimal_scaling_known_theta(family, n):
+    # odd cycles and Kneser(n, 2) are edge-transitive: unit weights are optimal (Lovasz 1979)
+    if family == "cycle":
+        c = math.cos(math.pi / n)
+        g, theta_known = generate_named("cycle", n=n), n * c / (1.0 + c)
+    else:
+        g, theta_known = generate_named("kneser", n=n, k=2), float(n - 1)
+    _, value = optimal_scaling(adjacency(g))
+    assert abs(value - theta_known) <= 1e-13 * theta_known
 
 
 # --- optimizer vector extraction ---
