@@ -5,19 +5,25 @@ symmetric matrix's eigenvalue clusters it is the walk-generating function
 <1, (I - xA)^-1 1>. Such sums have at most 2(N - 1) critical points; when
 the pole rates carry both signs, the critical point with the largest
 f-value is the unique minimum of f on the central strip between the extreme
-reciprocal poles. Critical points are found by a dense scan plus
-bisection; the test suite cross-checks it against a companion-matrix
-polynomial solver.
+reciprocal poles.
+
+`ReciprocalSum.minimize(lo, hi)` is the one interval minimiser, for the
+walk bounds (via `walkgen.minimize`), the theta polish and the duality
+strip. It and the dense critical-point scan share one derivative
+bisection, `_bisect`; the tests cross-check the scan against a
+companion-matrix polynomial solver.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
+    "IntervalMin",
     "ReciprocalSum",
     "PoleProximityError",
     "CriticalReport",
@@ -32,7 +38,9 @@ POLE_TOL = 1e-9           # relative half-width of the excluded zone around each
 SCAN_SAMPLES = 10_001     # grid points per pole-free interval
 TAIL_SAMPLES = 10_001
 TAIL_REACH = 1e6          # outer tails extend this factor beyond the pole hull
-X_TOL = 1e-12
+X_TOL = 1e-12             # relative bisection tolerance on x
+DERIV_TOL = 1e-10         # relative bisection tolerance on the derivative
+WALL_TOL = 1e-6           # an interval endpoint counts as a pole wall within this relative distance
 EQ_TOL = 1e-8             # relative tolerance for the duality value comparison
 POLE_MARGIN = 1e-7
 
@@ -44,6 +52,16 @@ class PoleProximityError(ValueError):
         super().__init__(f"x = {x} is within tolerance of the pole at {pole}")
         self.x = x
         self.pole = pole
+
+
+@dataclass(frozen=True)
+class IntervalMin:
+    """Minimum of a reciprocal sum on an interval; x_star = inf for a zero matrix."""
+
+    x_star: float
+    value: float
+    at_endpoint: bool
+    derivative_at_x: float
 
 
 @dataclass(frozen=True)
@@ -85,21 +103,6 @@ class ReciprocalSum:
         return cls(tuple(w for _, w in data.clusters), tuple(r for r, _ in data.clusters),
                    float(data.n))
 
-    @classmethod
-    def from_terms(cls, weights, rates) -> "ReciprocalSum":
-        """Normalize arbitrary terms: drop zero weights, merge equal rates."""
-        merged = {}
-        for a, b in zip(weights, rates):
-            if a < 0:
-                raise ValueError("weights must be nonnegative")
-            if a > 0:
-                merged[float(b)] = merged.get(float(b), 0.0) + float(a)
-        return cls(tuple(merged.values()), tuple(merged.keys()))
-
-    @property
-    def order(self) -> int:
-        return len(self.weights)
-
     def near_pole(self, x: float, tol: float = POLE_TOL) -> bool:
         """True when x lies within tol * (1 + |x|) of a pole."""
         poles = self.poles
@@ -123,15 +126,47 @@ class ReciprocalSum:
     def second_derivative(self, x: float) -> float:
         return float(sum(2.0 * a * b * b / (1.0 - b * x) ** 3 for a, b in zip(self.weights, self.rates)))
 
-    def derivative_scale(self) -> float:
-        return float(sum(abs(c) for c in self._slopes))
-
     def derivative_grid(self, xs: np.ndarray) -> np.ndarray:
         d = np.multiply.outer(self.rates, xs)
         np.subtract(1.0, d, out=d)
         np.square(d, out=d)
         np.divide(np.asarray(self._slopes)[:, None], d, out=d)
         return d.sum(axis=0)
+
+    def minimize(self, lo: float, hi: float) -> IntervalMin:
+        """Minimum on [lo, hi], where every 1 - rate * x > 0 inside, so the sum is convex.
+
+        An endpoint within WALL_TOL of a pole is a +inf wall. Otherwise a
+        nonnegative slope at lo (nonpositive at hi) puts the minimum there;
+        else the derivative is bisected to DERIV_TOL of its scale.
+        """
+        x_tol = X_TOL * max(1.0, abs(lo), abs(hi))
+        if hi - lo <= x_tol:
+            x0 = 0.5 * (lo + hi)
+            return IntervalMin(x0, self.value(x0), True, self.derivative(x0))
+        d_lo = -math.inf if self.near_pole(lo, WALL_TOL) else self.derivative(lo)
+        d_hi = math.inf if self.near_pole(hi, WALL_TOL) else self.derivative(hi)
+        if d_lo >= 0.0:
+            return IntervalMin(lo, self.value(lo), True, d_lo)
+        if d_hi <= 0.0:
+            return IntervalMin(hi, self.value(hi), True, d_hi)
+        d_tol = DERIV_TOL * max(1.0, sum(abs(c) for c in self._slopes))
+        x = _bisect(self, lo, hi, d_lo, x_tol, d_tol)
+        return IntervalMin(x, self.value(x), False, self.derivative(x))
+
+
+def _bisect(f: ReciprocalSum, a: float, b: float, da: float, x_tol: float, d_tol: float) -> float:
+    """Root of f' on [a, b] (f'(a) = da, f'(b) of the other sign) to d_tol or x_tol."""
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        d = f.derivative(mid)
+        if abs(d) <= d_tol or b - a <= x_tol:
+            return mid
+        if (d < 0.0) == (da < 0.0):
+            a = mid
+        else:
+            b = mid
+    return mid
 
 
 @dataclass(frozen=True)
@@ -160,28 +195,14 @@ def central_strip(f: ReciprocalSum):
     return None
 
 
-def _refine_sign_change(f: ReciprocalSum, a: float, b: float, da: float) -> float:
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if b - a <= X_TOL * (1.0 + abs(mid)):
-            return mid
-        dm = f.derivative(mid)
-        if dm == 0.0:
-            return mid
-        if (dm < 0.0) == (da < 0.0):
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
 def _scan_segment(f: ReciprocalSum, xs: np.ndarray, found: list) -> None:
     if len(xs) < 2:
         return
     ds = f.derivative_grid(xs)
     signs = np.sign(ds)
     for k in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-        found.append(_refine_sign_change(f, float(xs[k]), float(xs[k + 1]), float(ds[k])))
+        a, b = float(xs[k]), float(xs[k + 1])
+        found.append(_bisect(f, a, b, float(ds[k]), X_TOL * max(1.0, abs(a), abs(b)), 0.0))
     for k in np.nonzero(signs == 0)[0]:
         found.append(float(xs[k]))
 
@@ -219,26 +240,6 @@ def enumerate_critical_points(f: ReciprocalSum) -> list:
     return out
 
 
-def _strip_minimum(f: ReciprocalSum, strip: tuple) -> tuple:
-    """Interior minimum of f on the strip (both endpoints are +inf walls)."""
-    a, b = strip
-    # step inside the walls before bisecting the derivative
-    for _ in range(80):
-        width = b - a
-        am = a + 1e-3 * width
-        bm = b - 1e-3 * width
-        da, db = f.derivative(am), f.derivative(bm)
-        if da < 0.0 <= db:
-            x = _refine_sign_change(f, am, bm, da)
-            return (x, f.value(x))
-        if da >= 0.0:
-            b = am
-        else:
-            a = bm
-    x = 0.5 * (a + b)
-    return (x, f.value(x))
-
-
 def verify_duality(f: ReciprocalSum) -> CriticalReport:
     """Check that the largest critical value is the central-strip minimum."""
     cps = tuple(enumerate_critical_points(f))
@@ -248,7 +249,8 @@ def verify_duality(f: ReciprocalSum) -> CriticalReport:
     maximal = max(((x, v) for x, v, _ in cps), key=lambda t: t[1])
     if strip is None:
         return CriticalReport(cps, maximal, None, None, False)
-    strip_min = _strip_minimum(f, strip)
+    m = f.minimize(*strip)
+    strip_min = (m.x_star, m.value)
     inside = tuple(p for p in cps if strip[0] < p[0] < strip[1])
     ok = (
         abs(maximal[1] - strip_min[1]) <= EQ_TOL * (1.0 + abs(strip_min[1]))

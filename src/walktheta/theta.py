@@ -140,8 +140,7 @@ def minimize_theta(
     lower = float(independence_number(g)) if alpha_oracle else None
     if m == 0:
         upper = float(n)
-        return ThetaEstimate(upper, lower if lower is not None else None,
-                             (), 0, True, (upper,))
+        return ThetaEstimate(upper, lower, (), 0, True, (upper,))
     w = np.ones(m) if init_weights is None else np.asarray(init_weights, dtype=float).copy()
     ones = np.ones((n, n))
     best_val = math.inf

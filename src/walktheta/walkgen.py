@@ -1,19 +1,20 @@
 """Interval minima of walk-generating functions W_A(x) = <1, (I - xA)^-1 1>.
 
-The function itself is `reciprocal.ReciprocalSum.from_spectral(data)`; this
-module minimizes it over the spectral interval [1/lam_min, 1/lam_max] or a
-part of it, and samples it for plotting.
+The function itself is `reciprocal.ReciprocalSum.from_spectral(data)`, and
+the minimiser is `ReciprocalSum.minimize`. This module handles what is
+particular to a matrix: the zero matrix, the clip to the spectral interval
+[1/lam_min, 1/lam_max] and the constant sum. It also samples the function
+for plotting.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
-from .reciprocal import POLE_TOL, ReciprocalSum
+from .reciprocal import POLE_TOL, WALL_TOL, IntervalMin, ReciprocalSum
 
 __all__ = [
     "IntervalMin",
@@ -26,23 +27,6 @@ __all__ = [
 # A matrix with Frobenius norm at or below this is treated as zero, which by
 # convention makes the interval minimum equal n with an infinite sentinel x.
 ZERO_NORM = 1e-12
-
-WALL_TOL = 1e-6       # endpoint counts as a pole wall within this relative distance
-X_TOL = 1e-12         # relative bisection tolerance on x
-DERIV_TOL = 1e-10     # relative bisection tolerance on the derivative
-
-
-@dataclass(frozen=True)
-class IntervalMin:
-    """Location and value of the minimum of a walk-generating function on an interval.
-
-    x_star is math.inf when the matrix was zero and every x is minimizing.
-    """
-
-    x_star: float
-    value: float
-    at_endpoint: bool
-    derivative_at_x: float
 
 
 def minimize(data: spectral.SpectralData, lo: float = -math.inf, hi: float = math.inf) -> IntervalMin:
@@ -59,32 +43,10 @@ def minimize(data: spectral.SpectralData, lo: float = -math.inf, hi: float = mat
     if lo > hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     fn = ReciprocalSum.from_spectral(data)
-    if not fn.rates or all(b == 0.0 for b in fn.rates):
+    if all(b == 0.0 for b in fn.rates):
         x0 = min(max(0.0, lo), hi)
         return IntervalMin(x0, fn.n_total, False, 0.0)
-    if hi - lo <= X_TOL * max(1.0, abs(lo), abs(hi)):
-        x0 = 0.5 * (lo + hi)
-        return IntervalMin(x0, fn.value(x0), True, fn.derivative(x0))
-    d_lo = -math.inf if fn.near_pole(lo, WALL_TOL) else fn.derivative(lo)
-    d_hi = math.inf if fn.near_pole(hi, WALL_TOL) else fn.derivative(hi)
-    if d_lo >= 0.0:
-        return IntervalMin(lo, fn.value(lo), True, d_lo)
-    if d_hi <= 0.0:
-        return IntervalMin(hi, fn.value(hi), True, d_hi)
-    x_tol = X_TOL * max(1.0, abs(lo), abs(hi))
-    d_tol = DERIV_TOL * max(1.0, fn.derivative_scale())
-    a, b = lo, hi
-    mid = 0.5 * (a + b)
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        d = fn.derivative(mid)
-        if abs(d) <= d_tol or b - a <= x_tol:
-            break
-        if d < 0.0:
-            a = mid
-        else:
-            b = mid
-    return IntervalMin(mid, fn.value(mid), False, fn.derivative(mid))
+    return fn.minimize(lo, hi)
 
 
 def minimize_on_spectral_interval(a: np.ndarray) -> IntervalMin:

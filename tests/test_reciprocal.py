@@ -77,6 +77,36 @@ def test_symmetric_instance_critical_point():
     assert curvature > 0
 
 
+def test_minimize_on_terms():
+    """f = 1/(1 - x) + 1/(1 + x): walls at +-1, minimum 2 at 0, f' > 0 for x > 0."""
+    f = ReciprocalSum((1.0, 1.0), (1.0, -1.0))
+    m = f.minimize(-1.0, 1.0)
+    assert (m.x_star, m.value, m.at_endpoint) == (pytest.approx(0.0, abs=1e-12), pytest.approx(2.0), False)
+    m = f.minimize(0.1, 0.5)
+    assert (m.x_star, m.at_endpoint) == (0.1, True)
+    assert m.derivative_at_x > 0.0
+    assert m.value == pytest.approx(1.0 / 0.9 + 1.0 / 1.1)
+    m = f.minimize(-0.5, -0.1)
+    assert (m.x_star, m.at_endpoint) == (-0.1, True)
+    assert m.derivative_at_x < 0.0
+    m = f.minimize(0.3, 0.3)
+    assert (m.x_star, m.at_endpoint) == (0.3, True)
+
+
+def test_strip_minimum_is_the_largest_critical_value():
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            f = random_instance(rng)
+            strip = central_strip(f)
+            if strip is None:
+                continue
+            largest = max(v for _, v, _ in enumerate_critical_points(f))
+            m = f.minimize(*strip)
+            assert not m.at_endpoint
+            assert abs(m.value - largest) <= 1e-12 * abs(largest), (seed, f.weights, f.rates)
+
+
 def test_p17_maximal_critical_value_is_nine():
     f = walk_terms("path", n=17)
     report = verify_duality(f)
@@ -150,7 +180,7 @@ def test_critical_point_count_cap():
     for _ in range(200):
         f = random_instance(rng)
         cps = enumerate_critical_points(f)
-        assert len(cps) <= 2 * (f.order - 1)
+        assert len(cps) <= 2 * (len(f.weights) - 1)
 
 
 def test_strip_positivity_and_convexity():
@@ -175,10 +205,7 @@ def test_asymptotic_limit_is_constant_term():
     assert g.value(1e8) == pytest.approx(0.0, abs=1e-6)
 
 
-def test_from_terms_normalizes():
-    f = ReciprocalSum.from_terms((1.0, 0.0, 2.0, 3.0), (1.0, 5.0, -1.0, 1.0))
-    assert f.rates == (-1.0, 1.0)
-    assert f.weights == (2.0, 4.0)
+def test_constructor_rejects_bad_terms():
     with pytest.raises(ValueError):
         ReciprocalSum((1.0, -1.0), (1.0, 2.0))
     with pytest.raises(ValueError, match="distinct"):

@@ -1,0 +1,88 @@
+"""Byte-compare walktheta CLI outputs of two source trees on the standard workloads.
+
+Usage: python3 tools/compare_outputs.py PARENT_SRC [CHANGE_SRC]
+
+Each path is a source tree root holding src/walktheta and perfbench/;
+CHANGE_SRC defaults to this script's tree. PARENT_SRC's walktheta and
+perfbench/inputs.py write the input files, which both trees only read. Cases
+run with OPENBLAS_NUM_THREADS=1 and print `identical`, or the count of
+differing lines and the largest relative difference over the numeric JSON/CSV
+fields. Exits 0 only when every case is identical.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+WRITE_INPUTS = """import pathlib, sys, inputs
+for s in (1, 2, 13):
+    inputs.write_lines(pathlib.Path(sys.argv[1], f"bounds{s}.g6"), inputs.bounds_corpus(s)[0])
+for s in (1, 2):
+    lines = [inputs.encode_graph6(g).decode("ascii") for g in inputs.theta_mix(s)]
+    inputs.write_lines(pathlib.Path(sys.argv[1], f"theta{s}.g6"), lines)
+"""
+NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+CASES = [[f"bounds{s}", "bounds", f"bounds{s}.g6"] for s in (1, 2, 13)]
+CASES += [[f"theta{s}", "theta", f"theta{s}.g6", "--max-iter", "400"] for s in (1, 2)]
+CASES += [[f"verify{s}", "verify", "all", "--random", "500", "--seed", str(s)] for s in (1, 2)]
+CASES += [["plot-p17", "plot", "--named", "path", "--n", "17"], ["plot-golomb", "plot", "--named", "golomb"]]
+
+
+def run(args: list, cwd: str, *pythonpath: Path) -> tuple:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, pythonpath)), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True)
+    return proc.returncode, proc.stdout
+
+
+def numbers(line: str) -> list:
+    """Numeric fields of a JSON line (depth first) or of a CSV line, in order."""
+    def walk(v):
+        if isinstance(v, (dict, list)):
+            return [x for item in (v.values() if isinstance(v, dict) else v) for x in walk(item)]
+        return [float(v)] if type(v) in (int, float) else []
+    try:
+        return walk(json.loads(line))
+    except ValueError:
+        return [float(field) for field in line.split(",") if NUMBER.fullmatch(field)]
+
+
+def compare(old: bytes, new: bytes) -> tuple:
+    """(differing lines, largest relative difference over paired numeric fields)."""
+    a, b = old.decode().splitlines(), new.decode().splitlines()
+    differ, worst = abs(len(a) - len(b)), 0.0
+    for x, y in zip(a, b):
+        if x != y:
+            differ += 1
+            for u, v in zip(numbers(x), numbers(y)):
+                worst = max(worst, abs(u - v) / max(abs(u), abs(v), 1e-300))
+    return differ, worst
+
+
+def main(argv: list) -> int:
+    if len(argv) not in (1, 2):
+        sys.exit(__doc__.splitlines()[2])
+    parent = Path(argv[0]).resolve()
+    change = Path(argv[1]).resolve() if len(argv) == 2 else Path(__file__).resolve().parents[1]
+    all_same = True
+    with tempfile.TemporaryDirectory() as work:
+        if run(["-c", WRITE_INPUTS, work], work, parent / "src", parent / "perfbench")[0] != 0:
+            sys.exit("the parent tree failed to write the inputs")
+        for name, *args in CASES:
+            old = run(["-m", "walktheta.cli", *args], work, parent / "src")
+            new = run(["-m", "walktheta.cli", *args], work, change / "src")
+            if old == new:
+                print(f"{name}: identical")
+                continue
+            all_same = False
+            differ, worst = compare(old[1], new[1])
+            print(f"{name}: {differ} lines differ, largest relative difference {worst:.3g},"
+                  f" exit {old[0]} -> {new[0]}")
+    return 0 if all_same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
