@@ -9,9 +9,9 @@ reciprocal poles.
 
 `ReciprocalSum.minimize(lo, hi)` is the one interval minimiser, for the
 walk bounds (via `walkgen.minimize`), the theta polish and the duality
-strip. It and the dense critical-point scan share one derivative
-bisection, `_bisect`; the tests cross-check the scan against a
-companion-matrix polynomial solver.
+strip. It and the dense critical-point scan share one root search on the
+derivative, `_root`: safeguarded Newton steps inside a sign bracket. The
+tests cross-check the scan against a companion-matrix polynomial solver.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import ge, le, lt, mul
 
 import numpy as np
 
@@ -38,8 +40,8 @@ POLE_TOL = 1e-9           # relative half-width of the excluded zone around each
 SCAN_SAMPLES = 10_001     # grid points per pole-free interval
 TAIL_SAMPLES = 10_001
 TAIL_REACH = 1e6          # outer tails extend this factor beyond the pole hull
-X_TOL = 1e-12             # relative bisection tolerance on x
-DERIV_TOL = 1e-10         # relative bisection tolerance on the derivative
+X_TOL = 1e-12             # relative root tolerance on x
+DERIV_TOL = 1e-10         # relative root tolerance on the derivative
 WALL_TOL = 1e-6           # an interval endpoint counts as a pole wall within this relative distance
 EQ_TOL = 1e-8             # relative tolerance for the duality value comparison
 POLE_MARGIN = 1e-7
@@ -81,27 +83,27 @@ class ReciprocalSum:
     _slopes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        weights = tuple(float(a) for a in self.weights)
-        rates = tuple(float(b) for b in self.rates)
+        weights = tuple(map(float, self.weights))
+        rates = tuple(map(float, self.rates))
         if len(weights) != len(rates):
             raise ValueError("weights and rates must have equal length")
-        if any(a <= 0 for a in weights):
+        if any(map(le, weights, repeat(0.0))):
             raise ValueError("all weights must be strictly positive")
-        order = sorted(range(len(rates)), key=rates.__getitem__)
-        rates = tuple(rates[i] for i in order)
-        if any(b >= c for b, c in zip(rates, rates[1:])):
-            raise ValueError("pole rates must be distinct")
-        weights = tuple(weights[i] for i in order)
+        if not all(map(lt, rates, rates[1:])):     # spectral clusters arrive ascending
+            order = sorted(range(len(rates)), key=rates.__getitem__)
+            rates, weights = tuple(rates[i] for i in order), tuple(weights[i] for i in order)
+            if any(map(ge, rates, rates[1:])):
+                raise ValueError("pole rates must be distinct")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "poles", tuple(sorted(1.0 / b for b in rates if b != 0.0)))
-        object.__setattr__(self, "_slopes", tuple(a * b for a, b in zip(weights, rates)))
+        object.__setattr__(self, "poles", tuple(sorted([1.0 / b for b in rates if b])))
+        object.__setattr__(self, "_slopes", tuple(map(mul, weights, rates)))
 
     @classmethod
     def from_spectral(cls, data) -> "ReciprocalSum":
         """Walk-generating function of a decomposed symmetric matrix (`spectral.SpectralData`)."""
-        return cls(tuple(w for _, w in data.clusters), tuple(r for r, _ in data.clusters),
-                   float(data.n))
+        rates, weights = zip(*data.clusters) if data.clusters else ((), ())
+        return cls(weights, rates, float(data.n))
 
     def near_pole(self, x: float, tol: float = POLE_TOL) -> bool:
         """True when x lies within tol * (1 + |x|) of a pole."""
@@ -138,7 +140,7 @@ class ReciprocalSum:
 
         An endpoint within WALL_TOL of a pole is a +inf wall. Otherwise a
         nonnegative slope at lo (nonpositive at hi) puts the minimum there;
-        else the derivative is bisected to DERIV_TOL of its scale.
+        else `_root` finds the derivative's zero to DERIV_TOL of its scale.
         """
         x_tol = X_TOL * max(1.0, abs(lo), abs(hi))
         if hi - lo <= x_tol:
@@ -151,22 +153,34 @@ class ReciprocalSum:
         if d_hi <= 0.0:
             return IntervalMin(hi, self.value(hi), True, d_hi)
         d_tol = DERIV_TOL * max(1.0, sum(abs(c) for c in self._slopes))
-        x = _bisect(self, lo, hi, d_lo, x_tol, d_tol)
+        x = _root(self, lo, hi, d_lo, x_tol, d_tol)
         return IntervalMin(x, self.value(x), False, self.derivative(x))
 
 
-def _bisect(f: ReciprocalSum, a: float, b: float, da: float, x_tol: float, d_tol: float) -> float:
-    """Root of f' on [a, b] (f'(a) = da, f'(b) of the other sign) to d_tol or x_tol."""
+def _root(f: ReciprocalSum, a: float, b: float, da: float, x_tol: float, d_tol: float) -> float:
+    """Root of f' on [a, b] (f'(a) = da, f'(b) of the other sign) to d_tol or x_tol.
+
+    Newton steps on f' from the midpoint, f' and f'' in one pass; a step that
+    leaves the shrinking bracket, or meets f'' = 0, goes to its midpoint.
+    """
+    x = 0.5 * (a + b)
     for _ in range(200):
-        mid = 0.5 * (a + b)
-        d = f.derivative(mid)
+        if f.near_pole(x):
+            raise f._pole_error(x)
+        d = h = 0.0     # f'(x) and f''(x) / 2
+        for c, r in zip(f._slopes, f.rates):
+            q = 1.0 - r * x
+            t = c / (q * q)
+            d += t
+            h += t * r / q
         if abs(d) <= d_tol or b - a <= x_tol:
-            return mid
-        if (d < 0.0) == (da < 0.0):
-            a = mid
-        else:
-            b = mid
-    return mid
+            return x
+        a, b = (x, b) if (d < 0.0) == (da < 0.0) else (a, x)
+        newton = x - 0.5 * d / h if h != 0.0 else math.nan
+        x, last = (newton if a < newton < b else 0.5 * (a + b)), x
+        if abs(x - last) <= x_tol:
+            return x
+    return x
 
 
 @dataclass(frozen=True)
@@ -202,13 +216,13 @@ def _scan_segment(f: ReciprocalSum, xs: np.ndarray, found: list) -> None:
     signs = np.sign(ds)
     for k in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
         a, b = float(xs[k]), float(xs[k + 1])
-        found.append(_bisect(f, a, b, float(ds[k]), X_TOL * max(1.0, abs(a), abs(b)), 0.0))
+        found.append(_root(f, a, b, float(ds[k]), X_TOL * max(1.0, abs(a), abs(b)), 0.0))
     for k in np.nonzero(signs == 0)[0]:
         found.append(float(xs[k]))
 
 
 def enumerate_critical_points(f: ReciprocalSum) -> list:
-    """All critical points found by dense scan + bisection, as (x, f(x), f'' sign).
+    """All critical points found by dense scan + `_root`, as (x, f(x), f'' sign).
 
     The scan covers every pole-free interval of the pole hull with margin,
     plus geometric outer tails.

@@ -44,13 +44,24 @@ class SpectralData:
         return float(self.eigenvalues[-1]) if self.n else 0.0
 
 
-def _check_symmetric(m: np.ndarray) -> np.ndarray:
+def _eigh_scaled(m: np.ndarray) -> tuple:
+    """`eigh_checked`'s eigenpairs, and the Frobenius norm its residual check scales by."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.size and not np.array_equal(m, m.T):
         raise ValueError("matrix is not exactly symmetric")
-    return m
+    n = m.shape[0]
+    if n == 0:
+        return np.zeros(0), np.zeros((0, 0)), 0.0
+    vals, vecs = np.linalg.eigh(m)
+    scale = float(np.linalg.norm(m))
+    resid = float(np.max(np.abs(m @ vecs - vecs * vals)))
+    if scale > 0 and resid > 100 * TOL_EIG * scale * n:
+        raise np.linalg.LinAlgError(
+            f"eigendecomposition residual {resid:.3e} exceeds tolerance at scale {scale:.3e}"
+        )
+    return vals, vecs, scale
 
 
 def eigh_checked(m: np.ndarray) -> tuple:
@@ -59,24 +70,13 @@ def eigh_checked(m: np.ndarray) -> tuple:
     Raises ValueError for a non-square or non-symmetric input and
     LinAlgError when the eigenpairs fail the residual check.
     """
-    m = _check_symmetric(m)
-    n = m.shape[0]
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    vals, vecs = np.linalg.eigh(m)
-    scale = float(np.linalg.norm(m))
-    resid = float(np.max(np.abs(m @ vecs - vecs * vals)))
-    if scale > 0 and resid > 100 * TOL_EIG * scale * n:
-        raise np.linalg.LinAlgError(
-            f"eigendecomposition residual {resid:.3e} exceeds tolerance at scale {scale:.3e}"
-        )
-    return vals, vecs
+    return _eigh_scaled(m)[:2]
 
 
 def eig_sym(m: np.ndarray) -> SpectralData:
     """Full eigendecomposition of a symmetric matrix, with weight clusters attached."""
-    vals, vecs = eigh_checked(m)
-    data = SpectralData(vals, vecs, (), float(np.linalg.norm(m)))
+    vals, vecs, norm = _eigh_scaled(m)
+    data = SpectralData(vals, vecs, (), norm)
     object.__setattr__(data, "clusters", cluster_weights(data))
     return data
 

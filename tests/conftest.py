@@ -50,8 +50,8 @@ def eig_calls(monkeypatch) -> list:
 
 @pytest.fixture
 def eigh_checked_calls(monkeypatch) -> list:
-    """Every matrix passed to `spectral.eigh_checked` (eig_sym's included), in call order."""
-    return _record_matrices(monkeypatch, "eigh_checked")
+    """Every matrix that passes the checked eigensolver (`eigh_checked` or `eig_sym`), in call order."""
+    return _record_matrices(monkeypatch, "_eigh_scaled")
 
 
 def plain_alpha(g: Graph) -> int:

@@ -1,11 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from walktheta import reciprocal, walkgen
+from walktheta.corpus import fixture_graphs, random_graph
 from walktheta.graphs import adjacency, generate_named
 from walktheta.reciprocal import (
+    DERIV_TOL,
     POLE_MARGIN,
+    X_TOL,
     ReciprocalSum,
     central_strip,
     enumerate_critical_points,
@@ -14,6 +20,31 @@ from walktheta.reciprocal import (
     verify_duality,
 )
 from walktheta.spectral import eig_sym
+
+
+def reference_bisect(f: ReciprocalSum, a: float, b: float, da: float, x_tol: float, d_tol: float) -> float:
+    """Root of f' on [a, b] (f'(a) = da, f'(b) of the other sign) to d_tol or x_tol, by bisection.
+
+    The search `ReciprocalSum.minimize` and the critical-point scan used before
+    their safeguarded Newton iteration; kept as the oracle `reciprocal._root`
+    is compared against.
+    """
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        d = f.derivative(mid)
+        if abs(d) <= d_tol or b - a <= x_tol:
+            return mid
+        if (d < 0.0) == (da < 0.0):
+            a = mid
+        else:
+            b = mid
+    return mid
+
+
+def by_reference(call, *args):
+    """`call(*args)` with the reference bisection in place of `reciprocal._root`."""
+    with mock.patch.object(reciprocal, "_root", reference_bisect):
+        return call(*args)
 
 
 def polynomial_critical_points(f: ReciprocalSum) -> list:
@@ -240,3 +271,86 @@ def test_walk_sum_matches_its_definition(n, entries, x):
     slope_scale = sum(w * abs(r) / (1.0 - r * x) ** 2 for w, r in zip(f.weights, f.rates))
     assert abs(f.derivative(x) - central) <= 1e-6 * (1.0 + slope_scale)
     assert f.derivative_grid(np.array([x]))[0] == pytest.approx(f.derivative(x), rel=1e-12, abs=1e-300)
+
+
+def assert_matches_reference(f: ReciprocalSum, lo: float, hi: float) -> None:
+    """f.minimize(lo, hi) meets the bisection's stopping rule and its value to 1e-14."""
+    got, ref = f.minimize(lo, hi), by_reference(f.minimize, lo, hi)
+    assert got.at_endpoint == ref.at_endpoint
+    if not got.at_endpoint:
+        x_tol = X_TOL * max(1.0, abs(lo), abs(hi))
+        d_tol = DERIV_TOL * max(1.0, sum(abs(a * b) for a, b in zip(f.weights, f.rates)))
+        assert abs(f.derivative(got.x_star)) <= d_tol or abs(got.x_star - ref.x_star) <= x_tol
+    assert abs(got.value - ref.value) <= 1e-14 * abs(ref.value)
+
+
+def assert_same_critical_points(f: ReciprocalSum) -> None:
+    got, ref = enumerate_critical_points(f), by_reference(enumerate_critical_points, f)
+    assert len(got) == len(ref)
+    for (x, v, s), (y, w, t) in zip(got, ref):
+        assert s == t and abs(x - y) <= 1e-9 * (1.0 + abs(y)) and abs(v - w) <= 1e-9 * abs(w)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), u=st.floats(0.001, 0.999), v=st.floats(0.001, 0.999))
+def test_newton_root_matches_bisection_on_random_sums(seed, u, v):
+    """On the central strip and on a subinterval of it, and over every critical point."""
+    f = random_instance(np.random.default_rng(seed))
+    strip = central_strip(f)
+    if strip is not None:
+        lo, hi = strip
+        assert_matches_reference(f, lo, hi)
+        a, b = sorted((lo + u * (hi - lo), lo + v * (hi - lo)))
+        assert_matches_reference(f, a, b)
+    assert_same_critical_points(f)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n_max=st.integers(2, 30))
+def test_newton_root_matches_bisection_on_walk_sums(seed, n_max):
+    """The walk bound's interval [1/lam_min, 0] and the whole spectral interval of a G(n, p)."""
+    data = eig_sym(adjacency(random_graph(np.random.default_rng(seed), n_max=n_max)))
+    assume(data.norm > walkgen.ZERO_NORM)
+    f = ReciprocalSum.from_spectral(data)
+    assert_matches_reference(f, 1.0 / data.lam_min, 0.0)
+    assert_matches_reference(f, 1.0 / data.lam_min, 1.0 / data.lam_max)
+
+
+def test_newton_critical_points_match_bisection_on_fixture_walk_sums():
+    for _, g in fixture_graphs():
+        if g.edges:
+            assert_same_critical_points(ReciprocalSum.from_spectral(eig_sym(adjacency(g))))
+
+
+def test_walk_minimum_takes_few_search_steps(monkeypatch):
+    """Newton needs about 8 steps per interior walk minimum where bisection needs about 33.
+
+    A step is one near_pole guard inside `_root`. The correctness tests above
+    cannot see a lost Newton step, since the bracket fallback still converges.
+    """
+    real_root, real_near_pole = reciprocal._root, ReciprocalSum.near_pole
+    steps, inside = [], [False]
+
+    def counted_root(*args):
+        steps.append(0)
+        inside[0] = True
+        try:
+            return real_root(*args)
+        finally:
+            inside[0] = False
+
+    def counted_near_pole(self, x, tol=reciprocal.POLE_TOL):
+        if inside[0]:
+            steps[-1] += 1
+        return real_near_pole(self, x, tol)
+
+    monkeypatch.setattr(reciprocal, "_root", counted_root)
+    monkeypatch.setattr(ReciprocalSum, "near_pole", counted_near_pole)
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        data = eig_sym(adjacency(random_graph(rng)))
+        if data.norm > walkgen.ZERO_NORM:
+            walkgen.minimize(data, hi=0.0)
+    assert len(steps) >= 100
+    mean = sum(steps) / len(steps)
+    assert mean <= 10.0, mean

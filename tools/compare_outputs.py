@@ -7,7 +7,8 @@ CHANGE_SRC defaults to this script's tree. PARENT_SRC's walktheta and
 perfbench/inputs.py write the input files, which both trees only read. Cases
 run with OPENBLAS_NUM_THREADS=1 and print `identical`, or the count of
 differing lines and the largest relative difference over the numeric JSON/CSV
-fields. Exits 0 only when every case is identical.
+fields, with the JSON key path or CSV column where it sits. Exits 0 only when
+every case is identical.
 """
 
 import json
@@ -39,27 +40,31 @@ def run(args: list, cwd: str, *pythonpath: Path) -> tuple:
 
 
 def numbers(line: str) -> list:
-    """Numeric fields of a JSON line (depth first) or of a CSV line, in order."""
-    def walk(v):
-        if isinstance(v, (dict, list)):
-            return [x for item in (v.values() if isinstance(v, dict) else v) for x in walk(item)]
-        return [float(v)] if type(v) in (int, float) else []
+    """(where, value) of the numeric fields of a JSON line (key path, depth first) or a CSV line."""
+    def walk(v, path):
+        if isinstance(v, dict):
+            return [x for k, item in v.items() for x in walk(item, f"{path}.{k}" if path else k)]
+        if isinstance(v, list):
+            return [x for item in v for x in walk(item, path)]
+        return [(path or "value", float(v))] if type(v) in (int, float) else []
     try:
-        return walk(json.loads(line))
+        return walk(json.loads(line), "")
     except ValueError:
-        return [float(field) for field in line.split(",") if NUMBER.fullmatch(field)]
+        return [(f"column {i}", float(f)) for i, f in enumerate(line.split(",")) if NUMBER.fullmatch(f)]
 
 
 def compare(old: bytes, new: bytes) -> tuple:
-    """(differing lines, largest relative difference over paired numeric fields)."""
+    """(differing lines, largest relative difference over paired numeric fields, where it sits)."""
     a, b = old.decode().splitlines(), new.decode().splitlines()
-    differ, worst = abs(len(a) - len(b)), 0.0
+    differ, worst, where = abs(len(a) - len(b)), 0.0, None
     for x, y in zip(a, b):
         if x != y:
             differ += 1
-            for u, v in zip(numbers(x), numbers(y)):
-                worst = max(worst, abs(u - v) / max(abs(u), abs(v), 1e-300))
-    return differ, worst
+            for (field, u), (_, v) in zip(numbers(x), numbers(y)):
+                rel = abs(u - v) / max(abs(u), abs(v), 1e-300)
+                if rel > worst:
+                    worst, where = rel, field
+    return differ, worst, where
 
 
 def main(argv: list) -> int:
@@ -78,8 +83,9 @@ def main(argv: list) -> int:
                 print(f"{name}: identical")
                 continue
             all_same = False
-            differ, worst = compare(old[1], new[1])
-            print(f"{name}: {differ} lines differ, largest relative difference {worst:.3g},"
+            differ, worst, where = compare(old[1], new[1])
+            at = f" ({where})" if where else ""
+            print(f"{name}: {differ} lines differ, largest relative difference {worst:.3g}{at},"
                   f" exit {old[0]} -> {new[0]}")
     return 0 if all_same else 1
 
