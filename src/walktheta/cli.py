@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 
@@ -115,8 +116,7 @@ def _suite_duality(count: int, seed: int, emit) -> None:
     for i in range(count):
         f = reciprocal.random_instance(rng)
         expect = reciprocal.has_critical_points(f)
-        # one scan: duality_holds is True whenever no critical point was found
-        checked = reciprocal.verify_duality(f)
+        checked = reciprocal.verify_duality(f)      # its points also decide the iff check
         ok = expect == bool(checked.critical_points) and checked.duality_holds
         emit({"suite": "duality", "case": i, "ok": bool(ok)})
 
@@ -300,7 +300,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed pipe must fail here, not at interpreter exit
+        return code
+    except BrokenPipeError:     # stdout's reader left: the `signal` docs' "Note on SIGPIPE"
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141              # 128 + SIGPIPE
     except InputError as exc:
         print(str(exc), file=sys.stderr)
         return 2

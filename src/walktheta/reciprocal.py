@@ -9,9 +9,9 @@ reciprocal poles.
 
 `ReciprocalSum.minimize(lo, hi)` is the one interval minimiser, for the
 walk bounds (via `walkgen.minimize`), the theta polish and the duality
-strip. It and the dense critical-point scan share one root search on the
-derivative, `_root`: safeguarded Newton steps inside a sign bracket. The
-tests cross-check the scan against a companion-matrix polynomial solver.
+strip. It and the critical-point enumerator, which brackets each root of
+f' by certified interval halving, share one root search on the
+derivative, `_root`: safeguarded Newton steps inside a sign bracket.
 """
 
 from __future__ import annotations
@@ -37,14 +37,10 @@ __all__ = [
 ]
 
 POLE_TOL = 1e-9           # relative half-width of the excluded zone around each pole
-SCAN_SAMPLES = 10_001     # grid points per pole-free interval
-TAIL_SAMPLES = 10_001
-TAIL_REACH = 1e6          # outer tails extend this factor beyond the pole hull
 X_TOL = 1e-12             # relative root tolerance on x
 DERIV_TOL = 1e-10         # relative root tolerance on the derivative
 WALL_TOL = 1e-6           # an interval endpoint counts as a pole wall within this relative distance
 EQ_TOL = 1e-8             # relative tolerance for the duality value comparison
-POLE_MARGIN = 1e-7
 
 
 class PoleProximityError(ValueError):
@@ -128,13 +124,6 @@ class ReciprocalSum:
     def second_derivative(self, x: float) -> float:
         return float(sum(2.0 * a * b * b / (1.0 - b * x) ** 3 for a, b in zip(self.weights, self.rates)))
 
-    def derivative_grid(self, xs: np.ndarray) -> np.ndarray:
-        d = np.multiply.outer(self.rates, xs)
-        np.subtract(1.0, d, out=d)
-        np.square(d, out=d)
-        np.divide(np.asarray(self._slopes)[:, None], d, out=d)
-        return d.sum(axis=0)
-
     def minimize(self, lo: float, hi: float) -> IntervalMin:
         """Minimum on [lo, hi], where every 1 - rate * x > 0 inside, so the sum is convex.
 
@@ -192,6 +181,7 @@ class CriticalReport:
     strip: tuple = None             # (1/beta_min, 1/beta_max) when rates mix signs
     strip_min: tuple = None         # (x, f(x)) minimizing f on the strip
     duality_holds: bool = True
+    unresolved: int = 0             # isolation intervals left undecided
 
 
 def has_critical_points(f: ReciprocalSum) -> bool:
@@ -209,60 +199,82 @@ def central_strip(f: ReciprocalSum):
     return None
 
 
-def _scan_segment(f: ReciprocalSum, xs: np.ndarray, found: list) -> None:
-    if len(xs) < 2:
-        return
-    ds = f.derivative_grid(xs)
-    signs = np.sign(ds)
-    for k in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-        a, b = float(xs[k]), float(xs[k + 1])
-        found.append(_root(f, a, b, float(ds[k]), X_TOL * max(1.0, abs(a), abs(b)), 0.0))
-    for k in np.nonzero(signs == 0)[0]:
-        found.append(float(xs[k]))
+def _isolate(f: ReciprocalSum, cuts: list) -> tuple:
+    """Brackets (a, b, f'(a)) of the roots of f' between cuts, halving points where f' is 0,
+    and the count of intervals still undecided at width X_TOL.
+
+    With d = w / b and p = 1 / b, each term d / (x - p)^2 of f' and -2d / (x - p)^3 of f''
+    is monotone between poles, which lie only on cuts: summed endpoint minima and maxima
+    enclose f' and f'' (Moore's natural interval extension). An interval is dropped if the
+    f' enclosure excludes 0; if the f'' one does, it is a bracket when f' changes sign
+    between finite end values, else dropped; any other interval is halved.
+    """
+    p = np.array([1.0 / b for b in f.rates if b])
+    d = np.array([w / b for w, b in zip(f.weights, f.rates) if b])
+    x = np.array([cuts[:-1], cuts[1:]]).T               # interval ends
+    q = x[:, :, None] - p
+    q[:, 1][q[:, 1] == 0.0] = -0.0                      # a pole at a right end is approached from below
+    brackets, zeros, unresolved = [], [], 0
+    with np.errstate(divide="ignore"):
+        t = d / q ** 2                                  # terms of f' at the ends
+        while len(x):
+            s, ends = t / q, t.sum(2)                   # terms of f'' over -2; f' at the ends
+            holds_root = (t.min(1).sum(1) <= 0.0) & (t.max(1).sum(1) >= 0.0)
+            monotone = (s.min(1).sum(1) > 0.0) | (s.max(1).sum(1) < 0.0)
+            crossing, finite = np.sign(ends).prod(1) < 0.0, np.isfinite(ends).all(1)
+            found = holds_root & monotone & crossing & finite
+            brackets += zip(*x[found].T.tolist(), ends[found, 0].tolist())
+            split = holds_root & ~(monotone & (finite | ~crossing))
+            wide = x[:, 1] - x[:, 0] > X_TOL * np.maximum(1.0, np.abs(x).max(1))
+            unresolved += int(np.count_nonzero(split & ~wide))
+            split &= wide
+            mid = 0.5 * (x[split, 0] + x[split, 1])
+            q_mid = mid[:, None] - p
+            t_mid = d / q_mid ** 2
+            zeros += mid[t_mid.sum(1) == 0.0].tolist()
+            x, q, t = (np.concatenate((v[split], v[split])) for v in (x, q, t))
+            for v, at_mid in ((x, mid), (q, q_mid), (t, t_mid)):
+                v[: len(mid), 1] = v[len(mid):, 0] = at_mid
+    return brackets, zeros, unresolved
 
 
-def enumerate_critical_points(f: ReciprocalSum) -> list:
-    """All critical points found by dense scan + `_root`, as (x, f(x), f'' sign).
+class CriticalPoints(list):
+    """(x, f(x), sign of f'' at x) per critical point, ascending, and the count of `unresolved` intervals."""
 
-    The scan covers every pole-free interval of the pole hull with margin,
-    plus geometric outer tails.
+    unresolved = 0
+
+
+def enumerate_critical_points(f: ReciprocalSum) -> CriticalPoints:
+    """All critical points, each root of f' bracketed by `_isolate` and found by `_root`.
+
+    The cuts are the poles and +-reach, a power of two, so 1 / reach is exact. Beyond
+    them u = 1 / x gives f'(x) = u^2 F'(u) for the sum F with rates 1 / b, convex where
+    |u| <= 1 / reach < 1 / (2 max|pole|): the tails hold at most one root, on the side
+    away from the sign of F'(0).
     """
     if set(f.rates) <= {0.0}:
-        return []
-    poles = list(f.poles)
-    span = poles[-1] - poles[0] + 1.0
-    lo = poles[0] - 0.5 * span - 1.0
-    hi = poles[-1] + 0.5 * span + 1.0
-    found = []
-    cuts = [lo] + poles + [hi]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        ma = POLE_MARGIN * (1.0 + abs(a))
-        mb = POLE_MARGIN * (1.0 + abs(b))
-        if b - a > ma + mb:
-            _scan_segment(f, np.linspace(a + ma, b - mb, SCAN_SAMPLES), found)
-    reach = TAIL_REACH * span
-    left = poles[0] - np.geomspace(POLE_MARGIN * (1.0 + abs(poles[0])), reach, TAIL_SAMPLES)
-    _scan_segment(f, left[::-1], found)
-    right = poles[-1] + np.geomspace(POLE_MARGIN * (1.0 + abs(poles[-1])), reach, TAIL_SAMPLES)
-    _scan_segment(f, right, found)
-    found.sort()
-    out = []
-    for x in found:
-        if out and abs(x - out[-1][0]) <= 1e-9 * (1.0 + abs(x)):
-            continue
-        out.append((x, f.value(x), int(np.sign(f.second_derivative(x)))))
-    return out
+        return CriticalPoints()
+    reach = 2.0 ** math.ceil(math.log2(2.0 * max(map(abs, f.poles)) + 1.0))
+    brackets, found, unresolved = _isolate(f, [-reach, *f.poles, reach])
+    found += [_root(f, a, b, da, X_TOL * max(1.0, abs(a), abs(b)), 0.0) for a, b, da in brackets]
+    tail = ReciprocalSum(*zip(*((w, 1.0 / b) for w, b in zip(f.weights, f.rates) if b)))
+    a, b = sorted((math.copysign(1.0 / reach, -tail.derivative(0.0)), 0.0))
+    if tail.derivative(a) * tail.derivative(b) < 0.0:
+        found.append(1.0 / _root(tail, a, b, tail.derivative(a), X_TOL / reach, 0.0))
+    cps = CriticalPoints((x, f.value(x), int(np.sign(f.second_derivative(x)))) for x in sorted(found))
+    cps.unresolved = unresolved
+    return cps
 
 
 def verify_duality(f: ReciprocalSum) -> CriticalReport:
     """Check that the largest critical value is the central-strip minimum."""
-    cps = tuple(enumerate_critical_points(f))
-    strip = central_strip(f)
+    found = enumerate_critical_points(f)
+    cps, unresolved, strip = tuple(found), found.unresolved, central_strip(f)
     if not cps:
-        return CriticalReport(cps, None, strip, None, True)
+        return CriticalReport(cps, None, strip, None, unresolved == 0, unresolved)
     maximal = max(((x, v) for x, v, _ in cps), key=lambda t: t[1])
     if strip is None:
-        return CriticalReport(cps, maximal, None, None, False)
+        return CriticalReport(cps, maximal, None, None, False, unresolved)
     m = f.minimize(*strip)
     strip_min = (m.x_star, m.value)
     inside = tuple(p for p in cps if strip[0] < p[0] < strip[1])
@@ -271,8 +283,9 @@ def verify_duality(f: ReciprocalSum) -> CriticalReport:
         and strip[0] < maximal[0] < strip[1]
         and len(inside) == 1
         and inside[0][2] >= 0
+        and unresolved == 0
     )
-    return CriticalReport(cps, maximal, strip, strip_min, ok)
+    return CriticalReport(cps, maximal, strip, strip_min, ok, unresolved)
 
 
 def random_instance(rng: np.random.Generator) -> ReciprocalSum:

@@ -8,11 +8,13 @@ import numpy as np
 
 __all__ = ["SpectralData", "eigh_checked", "eig_sym", "cluster_weights"]
 
-# Relative tolerances: eigensolver residual, eigenvalue clustering, and the
-# threshold below which a cluster's all-ones weight counts as exactly zero.
+# Relative tolerances: eigensolver residual, eigenvalue clustering, the
+# threshold below which a cluster's all-ones weight counts as exactly zero,
+# and, per dimension, the one below which its eigenvalue does (eigh's rounding).
 TOL_EIG = 1e-10
 TOL_CLUSTER = 1e-7
 TOL_WEIGHT = 1e-9
+TOL_ZERO = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -85,13 +87,17 @@ def cluster_weights(data: SpectralData) -> tuple:
     """Merge near-equal eigenvalues and sum the all-ones overlaps per cluster.
 
     Zero-weight clusters are dropped: the corresponding reciprocal poles are
-    removable and must not appear downstream.
+    removable and must not appear downstream. A representative within
+    TOL_ZERO * n * scale of 0, `eigh`'s rounding error, is 0.0 exactly: float
+    noise must not put a pole near 1e16.
     """
     vals = data.eigenvalues
     n = len(vals)
     if n == 0:
         return ()
-    tol_cluster = TOL_CLUSTER * max(1.0, float(np.linalg.norm(vals)))
+    scale = max(1.0, float(np.linalg.norm(vals)))
+    tol_cluster = TOL_CLUSTER * scale
+    tol_zero = TOL_ZERO * n * scale
     tol_weight = TOL_WEIGHT * n
     overlaps = (np.ones(n) @ data.eigenvectors) ** 2
     cuts = [0, *(np.flatnonzero(np.diff(vals) > tol_cluster) + 1).tolist(), n]
@@ -106,5 +112,5 @@ def cluster_weights(data: SpectralData) -> tuple:
             weight = float(np.sum(overlaps[start:stop]))
             rep = float(np.mean(vals[start:stop]))
         if weight > tol_weight:
-            clusters.append((rep, weight))
+            clusters.append((0.0 if abs(rep) <= tol_zero else rep, weight))
     return tuple(clusters)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,3 +347,15 @@ def test_verify_dominance_and_all_take_named_input(capsys):
     assert code == 0
     dominance = [json.loads(l) for l in out.splitlines() if '"dominance"' in l]
     assert len(dominance) == 1
+
+
+def test_closed_stdout_pipe_exits_141_without_traceback():
+    """`walktheta plot --named path --n 17 | head -1`, with the reader gone before any write."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [sys.executable, "-m", "walktheta.cli", "plot", "--named", "path", "--n", "17"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

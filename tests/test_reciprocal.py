@@ -1,5 +1,6 @@
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,7 +11,6 @@ from walktheta.corpus import fixture_graphs, random_graph
 from walktheta.graphs import adjacency, generate_named
 from walktheta.reciprocal import (
     DERIV_TOL,
-    POLE_MARGIN,
     X_TOL,
     ReciprocalSum,
     central_strip,
@@ -20,6 +20,8 @@ from walktheta.reciprocal import (
     verify_duality,
 )
 from walktheta.spectral import eig_sym
+
+ORACLE_POLE_MARGIN = 1e-7   # polynomial roots this close (relative) to a pole are taken as the pole
 
 
 def reference_bisect(f: ReciprocalSum, a: float, b: float, da: float, x_tol: float, d_tol: float) -> float:
@@ -75,10 +77,45 @@ def polynomial_critical_points(f: ReciprocalSum) -> list:
         if abs(r.imag) > 1e-8 * (1.0 + abs(r.real)):
             continue
         x = float(r.real)
-        if any(abs(x - p) <= POLE_MARGIN * (1.0 + abs(p)) for p in f.poles):
+        if any(abs(x - p) <= ORACLE_POLE_MARGIN * (1.0 + abs(p)) for p in f.poles):
             continue
         out.append(x)
     return sorted(out)
+
+
+def mpmath_critical_points(weights, rates) -> list:
+    """Real roots of f' at 50 digits, as floats: `mpmath.polyroots` of the cleared derivative.
+
+    f'(x) = sum(w_i b_i / (1 - b_i x)^2) times prod((1 - b_j x)^2) over the
+    nonzero rates is sum_i w_i b_i prod_{j != i} (1 - b_j x)^2.
+    """
+    with mp.workdps(50):
+        terms = [(mp.mpf(w), mp.mpf(b)) for w, b in zip(weights, rates) if b]
+        poly = [mp.mpf(0)] * (2 * len(terms) - 1)   # ascending coefficients
+        for i, (w, b) in enumerate(terms):
+            term = [w * b]
+            for j, (_, c) in enumerate(terms):
+                if j != i:          # times (1 - c x)^2 = 1 - 2c x + c^2 x^2
+                    term = [u - 2 * c * v + c * c * z for u, v, z in zip(term + [0, 0], [0, *term, 0], [0, 0, *term])]
+            poly = [p + t for p, t in zip(poly, term)]
+        roots = mp.polyroots(poly[::-1], maxsteps=200, extraprec=200)
+        return sorted(float(r.real) for r in roots if abs(mp.im(r)) < mp.mpf(10) ** -30)
+
+
+def exact_path_terms(n: int) -> tuple:
+    """Weights and rates of the walk function of the path P_n, at 50 digits.
+
+    Its eigenvalues are 2 cos(k pi / (n + 1)), with eigenvectors
+    sqrt(2 / (n + 1)) sin(j k pi / (n + 1)). Even k are orthogonal to the
+    all-ones vector, and the middle eigenvalue of an odd path is 0 exactly.
+    """
+    with mp.workdps(50):
+        weights, rates = [], []
+        for k in range(1, n + 1, 2):
+            t = k * mp.pi / (n + 1)
+            weights.append(2 * mp.fsum(mp.sin(j * t) for j in range(1, n + 1)) ** 2 / (n + 1))
+            rates.append(mp.mpf(0) if 2 * k == n + 1 else 2 * mp.cos(t))
+        return weights, rates
 
 
 def walk_terms(name, **kwargs) -> ReciprocalSum:
@@ -145,8 +182,49 @@ def test_p17_maximal_critical_value_is_nine():
     assert report.maximal[1] == pytest.approx(9.0, abs=1e-6)
     lo, hi = report.strip
     assert lo < report.maximal[0] < hi
-    # the path's walk function has many critical points outside the strip
-    assert len(report.critical_points) > 3
+    # eight critical points, seven of them outside the strip
+    exact = mpmath_critical_points(*exact_path_terms(17))
+    assert len(exact) == 8
+    assert [x for x, _, _ in report.critical_points] == pytest.approx(exact, abs=1e-9)
+
+
+@pytest.mark.parametrize("n,count", [(5, 2), (17, 8)])
+def test_path_critical_points_match_mpmath(n, count):
+    """From the exact spectrum, and from `eig_sym`, whose float-noise zero eigenvalue is snapped to 0."""
+    weights, rates = exact_path_terms(n)
+    exact = mpmath_critical_points(weights, rates)
+    assert len(exact) == count
+    for f in (ReciprocalSum([float(w) for w in weights], [float(b) for b in rates]), walk_terms("path", n=n)):
+        found = enumerate_critical_points(f)
+        assert found.unresolved == 0
+        assert [x for x, _, _ in found] == pytest.approx(exact, abs=1e-9)
+    if n == 5:
+        assert exact == pytest.approx([-2.0 / 3.0, -0.5], abs=1e-15)
+
+
+CLOSE_PAIR_RATES = (-4.28713239022233, -0.27532975522469627, 1.0313145531778045)
+
+
+def test_close_critical_pair_matches_mpmath():
+    """Two roots of f' 3.9e-5 apart near x = -0.69279, both found."""
+    weights = (0.19296465924970513, 0.8476384520548665, 1.623217663574219)
+    exact = mpmath_critical_points(weights, CLOSE_PAIR_RATES)
+    assert len([x for x in exact if abs(x + 0.69279) < 1e-4]) == 2
+    found = enumerate_critical_points(ReciprocalSum(weights, CLOSE_PAIR_RATES))
+    assert found.unresolved == 0
+    assert [x for x, _, _ in found] == pytest.approx(exact, abs=1e-9)
+
+
+def test_tangent_double_root_is_unresolved():
+    """The first weight, from mpmath, merges the close pair into one root of f' and f''.
+
+    Intervals around it never certify either way: they are counted, and the
+    duality check fails instead of passing on a silent miss.
+    """
+    weights = (0.1929646601156672, 0.8476384520548665, 1.623217663574219)
+    report = verify_duality(ReciprocalSum(weights, CLOSE_PAIR_RATES))
+    assert report.unresolved >= 1
+    assert not report.duality_holds
 
 
 def test_scan_matches_polynomial_oracle():
@@ -204,6 +282,17 @@ def test_scan_and_polynomial_finders_agree_on_random_instances():
         assert len(scanned) == len(roots), (f.weights, f.rates)
         for a, b in zip(scanned, roots):
             assert abs(a - b) <= 1e-6 * (1.0 + abs(b)), (f.weights, f.rates)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_isolation_matches_mpmath_on_random_sums(seed):
+    """Against 50-digit roots: the float companion-matrix oracle reports two roots
+    on seed 1119, whose rates are all negative, so that f' < 0 everywhere."""
+    f = random_instance(np.random.default_rng(seed))
+    found = enumerate_critical_points(f)
+    assert found.unresolved == 0
+    assert [x for x, _, _ in found] == pytest.approx(mpmath_critical_points(f.weights, f.rates), rel=1e-9, abs=1e-9)
 
 
 def test_critical_point_count_cap():
@@ -270,7 +359,6 @@ def test_walk_sum_matches_its_definition(n, entries, x):
     central = (f.value(x + h) - f.value(x - h)) / (2.0 * h)
     slope_scale = sum(w * abs(r) / (1.0 - r * x) ** 2 for w, r in zip(f.weights, f.rates))
     assert abs(f.derivative(x) - central) <= 1e-6 * (1.0 + slope_scale)
-    assert f.derivative_grid(np.array([x]))[0] == pytest.approx(f.derivative(x), rel=1e-12, abs=1e-300)
 
 
 def assert_matches_reference(f: ReciprocalSum, lo: float, hi: float) -> None:

@@ -17,12 +17,16 @@ DROPPED_INTERIOR_G6 = (
 
 
 def loop_cluster_weights(data, drop=True) -> tuple:
-    """Per-index cluster loop with np.sum/np.mean on every cluster: the oracle for cluster_weights."""
+    """Per-index cluster loop with np.sum/np.mean on every cluster: the oracle for cluster_weights.
+
+    A representative within TOL_ZERO * n * scale of 0 is snapped to 0.0.
+    """
     vals = data.eigenvalues
     n = len(vals)
     if n == 0:
         return ()
-    tol_cluster = spectral.TOL_CLUSTER * max(1.0, float(np.linalg.norm(vals)))
+    scale = max(1.0, float(np.linalg.norm(vals)))
+    tol_cluster = spectral.TOL_CLUSTER * scale
     tol_weight = spectral.TOL_WEIGHT * n if drop else -math.inf
     overlaps = (np.ones(n) @ data.eigenvectors) ** 2
     clusters = []
@@ -33,7 +37,7 @@ def loop_cluster_weights(data, drop=True) -> tuple:
             weight = float(np.sum(overlaps[members]))
             rep = float(np.mean(vals[members]))
             if weight > tol_weight:
-                clusters.append((rep, weight))
+                clusters.append((0.0 if abs(rep) <= spectral.TOL_ZERO * n * scale else rep, weight))
             start = i
     return tuple(clusters)
 
@@ -86,6 +90,17 @@ def test_zero_matrix():
     data = eig_sym(np.zeros((3, 3)))
     assert list(data.eigenvalues) == [0.0] * 3
     assert data.clusters == ((0.0, pytest.approx(3.0)),)
+
+
+def test_zero_eigenvalue_snaps_to_zero_rate():
+    """Within TOL_ZERO * n * scale of 0 a representative is 0.0 exactly; beyond, it is kept."""
+    path = eig_sym(adjacency(generate_named("path", n=5)))
+    assert abs(path.eigenvalues[2]) < 1e-15                 # float noise from eigh, or 0
+    assert [rep for rep, _ in path.clusters][1] == 0.0
+    tol = spectral.TOL_ZERO * 3 * math.sqrt(2.0)            # n = 3, norm of the spectrum (-1, ~0, 1)
+    for eps, rep in ((0.9 * tol, 0.0), (1.1 * tol, 1.1 * tol), (-2.5e-12, -2.5e-12)):
+        data = eig_sym(np.diag([-1.0, eps, 1.0]))
+        assert data.clusters[1] == (pytest.approx(rep, rel=1e-12, abs=0.0), 1.0)
 
 
 def test_k2_drops_zero_weight_cluster():
