@@ -129,6 +129,22 @@ def test_verify_product(capsys):
     assert lines[-1]["ok"]
 
 
+def test_verify_product_failed_identity_prints_json_null(capsys, monkeypatch):
+    """A failed factorization identity prints null, not NaN, which RFC 8259 JSON lacks."""
+    def fail(*args, **kwargs):
+        raise AssertionError("factorization identity failed")
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    monkeypatch.setattr(theta, "submultiplicativity_check", fail)
+    code, out, _ = run_cli(capsys, "verify", "product", "--seed", "1")
+    assert code == 1
+    lines = [json.loads(l, parse_constant=reject) for l in out.splitlines()]
+    assert all(l["lhs"] is None and l["rhs"] is None and not l["ok"] for l in lines[:-1])
+    assert lines[-1] == {"passed": 0, "total": 10, "ok": False}
+
+
 def test_verify_dominance_with_corpus(capsys, tmp_path):
     corpus = tmp_path / "c.g6"
     lines = [encode_graph6(generate_named("cycle", n=n)).decode() for n in (3, 5, 7)]

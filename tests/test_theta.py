@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -7,6 +8,7 @@ from conftest import plain_alpha, random_weighted_matrix, reference_optimal_scal
 from walktheta import theta
 from walktheta.graphs import Graph, adjacency, generate_named, strong_product
 from walktheta.independent_set import independence_number, max_independent_set
+from walktheta.spectral import eig_sym
 from walktheta.theta import (
     RESIDUAL_TOL,
     WeightedAdjacency,
@@ -22,6 +24,12 @@ from walktheta.theta import (
 from walktheta.walkgen import minimize_on_spectral_interval
 
 SQRT5 = math.sqrt(5.0)
+# the factor pairs of `walktheta verify product`
+VERIFY_PRODUCT_PAIRS = [
+    ("C5", "C5"), ("K2", "K2"), ("empty3", "K2"), ("P5", "C5"),
+    ("K4", "P2"), ("C7", "K2"), ("P5", "P5"), ("K2", "C5"),
+    ("empty3", "empty6"), ("star4", "K2"),
+]
 
 
 # --- independence oracle (package solver vs plain enumeration) ---
@@ -362,17 +370,97 @@ def test_extract_optimizer_decomposes_once(eig_calls):
 
 def test_submultiplicativity_decomposes_each_factor_once(eig_calls):
     g, h = generate_named("cycle", n=5), generate_named("path", n=3)
+    grid_pairs = len(theta._valid_gamma_samples(eig_sym(adjacency(g)), 4)) * len(
+        theta._valid_gamma_samples(eig_sym(adjacency(h)), 4))
+    eig_calls.clear()
     submultiplicativity_check(g, h, grid=4, n_random=5)
     factors = [m for m in eig_calls if m.shape != (15, 15)]
     assert len(factors) == 2
     assert np.array_equal(factors[0], adjacency(g))
     assert np.array_equal(factors[1], adjacency(h))
+    # one decomposition per grid product; the identity samples decompose nothing
+    assert len(eig_calls) - len(factors) == grid_pairs
 
 
 def test_submultiplicativity_builds_product_graph_once(monkeypatch):
+    """Not even once: the shifted products are built without the product's `Graph`."""
     built = []
     real = theta.strong_product
     monkeypatch.setattr(theta, "strong_product", lambda g, h: built.append(1) or real(g, h))
     submultiplicativity_check(generate_named("cycle", n=5), generate_named("path", n=3),
                               grid=4, n_random=5)
-    assert len(built) == 1
+    assert len(built) == 0
+
+
+# --- the shifted product, built without a mask ---
+
+def reference_shifted_product(a_g, gamma_g, a_h, gamma_h, product: Graph) -> np.ndarray:
+    """The masked Kronecker build that `theta._shifted_product` replaced, kept as its oracle.
+
+    np.kron of the shifted factors, less gamma_g*gamma_h on the diagonal,
+    then copied onto the strong product's edges of a zero matrix.
+    """
+    ng, nh = len(a_g), len(a_h)
+    m = np.kron(a_g + gamma_g * np.eye(ng), a_h + gamma_h * np.eye(nh))
+    m -= gamma_g * gamma_h * np.eye(ng * nh)
+    return theta._weight_matrix(product, m[product.rows, product.cols])
+
+
+def assert_shifted_product_matches_reference(g, h, a_g, a_h, gamma_pairs):
+    data_g, data_h = eig_sym(a_g), eig_sym(a_h)
+    product = strong_product(g, h)
+    for gg, gh in gamma_pairs(data_g, data_h):
+        built = theta._shifted_product(a_g, data_g, gg, a_h, data_h, gh)
+        expected = reference_shifted_product(a_g, gg, a_h, gh, product)
+        assert np.array_equal(built, expected), (g, h, gg, gh)
+        assert np.array_equal(np.signbit(built), np.signbit(expected)), (g, h, gg, gh)
+
+
+def test_shifted_product_equals_masked_kron_on_verify_pairs(corpus):
+    """Bit for bit, signed zeros included, at the grid gammas of `submultiplicativity_check`."""
+    graphs = dict(corpus)
+
+    def grid(data_g, data_h):
+        grid_h = theta._valid_gamma_samples(data_h, 8)
+        return [(gg, gh) for gg in theta._valid_gamma_samples(data_g, 8) for gh in grid_h]
+
+    for na, nb in VERIFY_PRODUCT_PAIRS:
+        g, h = graphs[na], graphs[nb]
+        assert_shifted_product_matches_reference(g, h, adjacency(g), adjacency(h), grid)
+
+
+def test_shifted_product_equals_masked_kron_on_weighted_factors(corpus):
+    """Signed random edge weights, at random valid gammas."""
+    graphs = dict(corpus)
+    rng = np.random.default_rng(5)
+
+    def sampled(data_g, data_h):
+        samples_g = theta._valid_gamma_samples(data_g, 20, rng)
+        return list(zip(samples_g, theta._valid_gamma_samples(data_h, 20, rng)))
+
+    for na, nb in VERIFY_PRODUCT_PAIRS:
+        g, h = graphs[na], graphs[nb]
+        a_g = theta._weight_matrix(g, rng.uniform(-1.5, 1.5, size=g.num_edges))
+        a_h = theta._weight_matrix(h, rng.uniform(-1.5, 1.5, size=h.num_edges))
+        assert_shifted_product_matches_reference(g, h, a_g, a_h, sampled)
+
+
+# gammas of the identity sample of P5 x C5 at seed 210 (`verify all --seed 207`) that the
+# spectral evaluation of the product's walk sum missed by 4.2e-8 relative
+P5_C5_SEED_210_GAMMAS = (-2.788529850019644, 6.839497369997376)
+
+
+def test_factorization_identity_holds_on_p5_c5_at_seed_210(corpus):
+    graphs = dict(corpus)
+    p5, c5 = graphs["P5"], graphs["C5"]
+    _, _, ok = submultiplicativity_check(p5, c5, seed=210)
+    assert ok
+    a_g, a_h = adjacency(p5), adjacency(c5)
+    data_g, data_h = eig_sym(a_g), eig_sym(a_h)
+    gg, gh = P5_C5_SEED_210_GAMMAS
+    assert gg in theta._valid_gamma_samples(data_g, 50, np.random.default_rng(210))
+    m = theta._shifted_product(a_g, data_g, gg, a_h, data_h, gh)
+    x = -1.0 / (gg * gh)
+    with mp.workdps(50):
+        exact = mp.fsum(mp.lu_solve(mp.eye(len(m)) - mp.mpf(x) * mp.matrix(m.tolist()), mp.ones(len(m), 1)))
+    assert abs(theta._walk_value(m, x) - float(exact)) <= 1e-13
