@@ -22,27 +22,14 @@ from .reciprocal import (
     has_critical_points,
     verify_duality,
 )
-from .walkgen import (
-    IntervalMin,
-    minimize_on_spectral_interval,
-    minimize_on_subinterval,
-    sample,
-)
-from .bounds import (
-    BoundReport,
-    closed_form_bound,
-    hoffman_regular,
-    laplacian_bound,
-    report,
-    walkgen_bound,
-)
+from .walkgen import IntervalMin, minimize_on_spectral_interval, sample
+from .bounds import BoundReport, laplacian_bound, report
 from .independent_set import independence_number, max_independent_set
 from .theta import (
     OptimizerVector,
     ThetaEstimate,
     WeightedAdjacency,
     extract_optimizer,
-    lambda_max_penalized,
     minimize_theta,
     optimal_scaling,
     product_adjacency,

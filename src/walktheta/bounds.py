@@ -8,14 +8,7 @@ from dataclasses import dataclass
 from . import spectral, walkgen
 from .graphs import Graph, adjacency, laplacian, min_degree
 
-__all__ = [
-    "BoundReport",
-    "hoffman_regular",
-    "walkgen_bound",
-    "closed_form_bound",
-    "laplacian_bound",
-    "report",
-]
+__all__ = ["BoundReport", "laplacian_bound", "report"]
 
 DOMINANCE_TOL = 1e-8
 CONDITION_TOL = 1e-9
@@ -49,31 +42,6 @@ class BoundReport:
             "dominance_ok": self.dominance_ok,
             "alpha_witness": self.independence_witness,
         }
-
-
-def hoffman_regular(g: Graph):
-    """Ratio bound -n*lam_min/(lam_max - lam_min); defined for regular graphs with edges."""
-    if not g.edges or not g.is_regular():
-        return None
-    return _hoffman(spectral.eig_sym(adjacency(g)))
-
-
-def walkgen_bound(g: Graph) -> float:
-    """Minimum of the walk-generating function over [1/lam_min, 0]."""
-    if not g.edges:
-        return float(g.n)
-    return _walkgen(spectral.eig_sym(adjacency(g)))
-
-
-def closed_form_bound(g: Graph):
-    """Closed-form bound from the top-cluster weight, with its validity condition.
-
-    Returns (value, condition_satisfied); value is None when the condition
-    fails. Requires at least one edge.
-    """
-    if not g.edges:
-        raise ValueError("closed-form bound needs a graph with at least one edge")
-    return _closed_form(spectral.eig_sym(adjacency(g)))
 
 
 def _hoffman(data: spectral.SpectralData) -> float:

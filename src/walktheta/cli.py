@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import bounds, reciprocal, spectral, theta, walkgen
-from .corpus import fixture_graphs, random_graph, random_weighted
+from .corpus import fixture_graphs, random_graph, random_instance, random_weighted
 from .graphs import (
     Graph6ParseError,
     NAMED_GRAPHS,
@@ -36,6 +36,8 @@ def _read_graphs(args):
     is opened; graph6 lines are parsed lazily, one per graph consumed.
     """
     if args.named:
+        if args.input:
+            raise InputError(f"give a file or --named {args.named}, not both")
         try:
             return [generate_named(args.named, n=args.n, k=args.k)]
         except ValueError as exc:
@@ -82,15 +84,19 @@ def _output(args):
         yield lambda line: fh.write(line + "\n")
 
 
+def _alpha(args, g):
+    """The exact independence number under --alpha-oracle for n <= ALPHA_ORACLE_LIMIT, else None."""
+    if args.alpha_oracle and g.n <= ALPHA_ORACLE_LIMIT:
+        return independence_number(g)
+    return None
+
+
 def cmd_bounds(args) -> int:
     graphs = _read_graphs(args)
     dominance_ok = True
     with _output(args) as write:
         for g in graphs:
-            alpha = None
-            if args.alpha_oracle and g.n <= ALPHA_ORACLE_LIMIT:
-                alpha = independence_number(g)
-            r = bounds.report(g, known_alpha=alpha)
+            r = bounds.report(g, known_alpha=_alpha(args, g))
             dominance_ok = dominance_ok and r.dominance_ok
             write(json.dumps(r.to_json_dict()))
     return 0 if dominance_ok else 1
@@ -100,12 +106,8 @@ def cmd_theta(args) -> int:
     graphs = _read_graphs(args)
     with _output(args) as write:
         for g in graphs:
-            est = theta.minimize_theta(
-                g,
-                max_iter=args.max_iter,
-                stall_tol=args.tol,
-                alpha_oracle=args.alpha_oracle and g.n <= ALPHA_ORACLE_LIMIT,
-            )
+            est = theta.minimize_theta(g, max_iter=args.max_iter, stall_tol=args.tol,
+                                       known_alpha=_alpha(args, g))
             write(json.dumps(est.to_json_dict()))
     return 0
 
@@ -113,7 +115,7 @@ def cmd_theta(args) -> int:
 def _suite_duality(count: int, seed: int, emit) -> None:
     rng = np.random.default_rng(seed)
     for i in range(count):
-        f = reciprocal.random_instance(rng)
+        f = random_instance(rng)
         expect = reciprocal.has_critical_points(f)
         checked = reciprocal.verify_duality(f)      # its points also decide the iff check
         ok = expect == bool(checked.critical_points) and checked.duality_holds
@@ -184,6 +186,8 @@ def _suite_optimizer(count: int, seed: int, emit) -> None:
 
 
 def cmd_verify(args) -> int:
+    if args.random < 0:
+        raise InputError(f"--random must be at least 0, got {args.random}")
     graphs = None
     if args.input or args.named:
         if args.suite not in ("dominance", "all"):

@@ -1,12 +1,13 @@
-"""Fixture graphs and seeded random generators shared by `verify` and the tests."""
+"""Fixture graphs and seeded random graphs, weighted matrices and reciprocal sums for `verify` and the tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .graphs import Graph, generate_named, parse_edge_list
+from .reciprocal import ReciprocalSum
 
-__all__ = ["fixture_graphs", "random_graph", "random_weighted"]
+__all__ = ["fixture_graphs", "random_graph", "random_weighted", "random_instance"]
 
 
 def fixture_graphs() -> list:
@@ -53,3 +54,23 @@ def random_weighted(rng: np.random.Generator, n_min: int = 3, n_max: int = 10) -
         w = float(rng.uniform(0.2, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0)
         a[i, j] = a[j, i] = w
     return a
+
+
+def random_instance(rng: np.random.Generator) -> ReciprocalSum:
+    """Random sum with 2..6 terms; half the draws force mixed-sign rates."""
+    n = int(rng.integers(2, 7))
+    mixed = rng.random() < 0.5
+    while True:
+        rates = rng.uniform(-5.0, 5.0, size=n)
+        if mixed:
+            # both signs present: the duality branch of the theorem applies
+            rates[0] = rng.uniform(0.2, 5.0)
+            rates[-1] = -rng.uniform(0.2, 5.0)
+        else:
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            rates = sign * np.abs(rates)
+        b = np.sort(rates)
+        if np.min(np.abs(b)) > 1e-2 and (n == 1 or np.min(np.diff(b)) > 1e-3):
+            break
+    weights = rng.uniform(0.1, 10.0, size=n)
+    return ReciprocalSum(tuple(weights), tuple(rates))

@@ -33,7 +33,6 @@ __all__ = [
     "central_strip",
     "enumerate_critical_points",
     "verify_duality",
-    "random_instance",
 ]
 
 POLE_TOL = 1e-9           # relative half-width of the excluded zone around each pole
@@ -286,23 +285,3 @@ def verify_duality(f: ReciprocalSum) -> CriticalReport:
         and unresolved == 0
     )
     return CriticalReport(cps, maximal, strip, strip_min, ok, unresolved)
-
-
-def random_instance(rng: np.random.Generator) -> ReciprocalSum:
-    """Random sum with 2..6 terms; half the draws force mixed-sign rates."""
-    n = int(rng.integers(2, 7))
-    mixed = rng.random() < 0.5
-    while True:
-        rates = rng.uniform(-5.0, 5.0, size=n)
-        if mixed:
-            # both signs present: the duality branch of the theorem applies
-            rates[0] = rng.uniform(0.2, 5.0)
-            rates[-1] = -rng.uniform(0.2, 5.0)
-        else:
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            rates = sign * np.abs(rates)
-        b = np.sort(rates)
-        if np.min(np.abs(b)) > 1e-2 and (n == 1 or np.min(np.diff(b)) > 1e-3):
-            break
-    weights = rng.uniform(0.1, 10.0, size=n)
-    return ReciprocalSum(tuple(weights), tuple(rates))

@@ -46,8 +46,13 @@ class SpectralData:
         return float(self.eigenvalues[-1]) if self.n else 0.0
 
 
-def _eigh_scaled(m: np.ndarray) -> tuple:
-    """`eigh_checked`'s eigenpairs, and the Frobenius norm its residual check scales by."""
+def eigh_checked(m: np.ndarray) -> tuple:
+    """Eigenvalues (ascending), eigenvector columns and Frobenius norm of an exactly symmetric matrix.
+
+    The norm is the scale of the residual check. Raises ValueError for a
+    non-square or non-symmetric input and LinAlgError when the eigenpairs
+    fail the residual check.
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -66,18 +71,9 @@ def _eigh_scaled(m: np.ndarray) -> tuple:
     return vals, vecs, scale
 
 
-def eigh_checked(m: np.ndarray) -> tuple:
-    """Eigenvalues (ascending) and eigenvector columns of an exactly symmetric matrix.
-
-    Raises ValueError for a non-square or non-symmetric input and
-    LinAlgError when the eigenpairs fail the residual check.
-    """
-    return _eigh_scaled(m)[:2]
-
-
 def eig_sym(m: np.ndarray) -> SpectralData:
     """Full eigendecomposition of a symmetric matrix, with weight clusters attached."""
-    vals, vecs, norm = _eigh_scaled(m)
+    vals, vecs, norm = eigh_checked(m)
     data = SpectralData(vals, vecs, (), norm)
     object.__setattr__(data, "clusters", cluster_weights(data))
     return data

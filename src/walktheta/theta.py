@@ -18,14 +18,12 @@ import numpy as np
 
 from . import spectral, walkgen
 from .graphs import Graph, adjacency, strong_product
-from .independent_set import independence_number
 from .reciprocal import ReciprocalSum
 
 __all__ = [
     "WeightedAdjacency",
     "ThetaEstimate",
     "OptimizerVector",
-    "lambda_max_penalized",
     "minimize_theta",
     "optimal_scaling",
     "extract_optimizer",
@@ -73,7 +71,7 @@ class WeightedAdjacency:
 @dataclass(frozen=True)
 class ThetaEstimate:
     upper: float
-    lower: float            # brute-force independence number when requested
+    lower: float            # the known independence number, when supplied
     weights: tuple          # edge weights achieving `upper`
     iterations: int
     converged: bool
@@ -100,19 +98,11 @@ class OptimizerVector:
 
 
 def _top_cluster(b: np.ndarray):
-    vals, vecs = spectral.eigh_checked(b)
+    vals, vecs, _ = spectral.eigh_checked(b)
     top = vals[-1]
     tol = spectral.TOL_CLUSTER * max(1.0, float(np.linalg.norm(vals)))
     k = int(np.searchsorted(vals, top - tol))
     return float(top), vecs[:, k:]
-
-
-def lambda_max_penalized(g: Graph, weights) -> tuple:
-    """lambda_max(J - A(weights)) with one top eigenvector and its multiplicity."""
-    wa = WeightedAdjacency(g, tuple(weights))
-    b = np.ones((g.n, g.n)) - wa.matrix()
-    value, basis = _top_cluster(b)
-    return value, basis[:, 0], basis.shape[1]
 
 
 def _subgradient(rows: np.ndarray, cols: np.ndarray, b: np.ndarray):
@@ -126,7 +116,7 @@ def minimize_theta(
     max_iter: int = 5000,
     stall_tol: float = 1e-6,
     init_weights=None,
-    alpha_oracle: bool = False,
+    known_alpha: int = None,
 ) -> ThetaEstimate:
     """Subgradient descent on lambda_max(J - A) over edge weights.
 
@@ -134,10 +124,11 @@ def minimize_theta(
     kept, so the reported upper bound is sound for any iterate. A final
     polish along the scaling ray t * A_best reads off the walk-function
     minimum (`optimal_scaling`) and keeps lambda_max(J - t * A_best) if lower.
+    A given `known_alpha` is reported as `lower`; no independence number is computed here.
     """
     m = g.num_edges
     n = g.n
-    lower = float(independence_number(g)) if alpha_oracle else None
+    lower = None if known_alpha is None else float(known_alpha)
     if m == 0:
         upper = float(n)
         return ThetaEstimate(upper, lower, (), 0, True, (upper,))

@@ -14,13 +14,12 @@ import math
 import numpy as np
 
 from . import spectral
-from .reciprocal import POLE_TOL, WALL_TOL, IntervalMin, ReciprocalSum
+from .reciprocal import POLE_TOL, IntervalMin, ReciprocalSum
 
 __all__ = [
     "IntervalMin",
     "minimize",
     "minimize_on_spectral_interval",
-    "minimize_on_subinterval",
     "sample",
 ]
 
@@ -52,20 +51,6 @@ def minimize(data: spectral.SpectralData, lo: float = -math.inf, hi: float = mat
 def minimize_on_spectral_interval(a: np.ndarray) -> IntervalMin:
     """Global minimum of the walk-generating function on [1/lam_min, 1/lam_max]."""
     return minimize(spectral.eig_sym(a))
-
-
-def minimize_on_subinterval(a: np.ndarray, lo: float, hi: float) -> IntervalMin:
-    """Minimum over [lo, hi], which must sit inside the spectral interval."""
-    data = spectral.eig_sym(a)
-    if data.norm > ZERO_NORM:
-        full_lo, full_hi = 1.0 / data.lam_min, 1.0 / data.lam_max
-        slack_lo = WALL_TOL * (1.0 + abs(full_lo))
-        slack_hi = WALL_TOL * (1.0 + abs(full_hi))
-        if lo < full_lo - slack_lo or hi > full_hi + slack_hi:
-            raise ValueError(
-                f"interval [{lo}, {hi}] exceeds the spectral interval [{full_lo}, {full_hi}]"
-            )
-    return minimize(data, lo, hi)
 
 
 def sample(fn: ReciprocalSum, lo: float, hi: float, k: int) -> list:

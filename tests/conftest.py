@@ -50,8 +50,8 @@ def eig_calls(monkeypatch) -> list:
 
 @pytest.fixture
 def eigh_checked_calls(monkeypatch) -> list:
-    """Every matrix that passes the checked eigensolver (`eigh_checked` or `eig_sym`), in call order."""
-    return _record_matrices(monkeypatch, "_eigh_scaled")
+    """Every matrix passed to `spectral.eigh_checked`, directly or by `eig_sym`, in call order."""
+    return _record_matrices(monkeypatch, "eigh_checked")
 
 
 def plain_alpha(g: Graph) -> int:

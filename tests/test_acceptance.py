@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from conftest import build_corpus, random_graph, random_weighted_matrix, reference_optimal_scaling
-from walktheta.bounds import hoffman_regular, laplacian_bound, walkgen_bound
+from walktheta.bounds import report
+from walktheta.corpus import random_instance
 from walktheta.graphs import adjacency, generate_named, strong_product
 from walktheta.independent_set import independence_number
 from walktheta.reciprocal import (
     central_strip,
     enumerate_critical_points,
     has_critical_points,
-    random_instance,
     verify_duality,
 )
 from walktheta.theta import (
@@ -51,14 +51,14 @@ def criterion(num: int, label: str, limit_s: float):
 
 def test_criterion_01_golomb_figure_value():
     with criterion(1, "golomb walkgen bound", 1.0):
-        value = walkgen_bound(generate_named("golomb"))
+        value = report(generate_named("golomb")).walkgen_bound
         assert value == pytest.approx(4.744, abs=2e-3)
 
 
 def test_criterion_02_p17_figure_value():
     with criterion(2, "p17 walkgen bound and maximal critical point", 1.0):
         p17 = generate_named("path", n=17)
-        assert walkgen_bound(p17) == pytest.approx(9.0, abs=1e-6)
+        assert report(p17).walkgen_bound == pytest.approx(9.0, abs=1e-6)
         from walktheta.reciprocal import ReciprocalSum
         from walktheta.spectral import eig_sym
         rep = verify_duality(ReciprocalSum.from_spectral(eig_sym(adjacency(p17))))
@@ -74,7 +74,8 @@ def test_criterion_03_regular_collapse():
                   generate_named("petersen")]
         graphs += [generate_named("complete", n=n) for n in range(2, 9)]
         for g in graphs:
-            assert abs(walkgen_bound(g) - hoffman_regular(g)) <= 1e-9
+            rep = report(g)
+            assert abs(rep.walkgen_bound - rep.hoffman_regular) <= 1e-9
 
 
 def test_criterion_04_dominance_over_corpus():
@@ -85,7 +86,8 @@ def test_criterion_04_dominance_over_corpus():
             graphs.append(random_graph(rng, n_max=12))
         assert len(graphs) >= 500
         for g in graphs:
-            assert walkgen_bound(g) <= laplacian_bound(g) + 1e-8
+            rep = report(g)
+            assert rep.walkgen_bound <= rep.laplacian_bound + 1e-8
 
 
 def test_criterion_05_reciprocal_duality():
@@ -202,6 +204,6 @@ def test_criterion_10_isolated_vertex_stability():
         while len(graphs) < 50:
             graphs.append(random_graph(rng, n_max=10, allow_isolated=False))
         for g in graphs[:50]:
-            base = walkgen_bound(g)
-            grown = walkgen_bound(g.add_isolated_vertex())
+            base = report(g).walkgen_bound
+            grown = report(g.add_isolated_vertex()).walkgen_bound
             assert abs(grown - (base + 1.0)) <= 1e-8

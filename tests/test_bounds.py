@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import plain_alpha, random_graph
-from walktheta.bounds import (
-    closed_form_bound,
-    hoffman_regular,
-    laplacian_bound,
-    report,
-    walkgen_bound,
-)
+from walktheta.bounds import laplacian_bound, report
 from walktheta.graphs import adjacency, generate_named, laplacian, parse_edge_list
 from walktheta.independent_set import independence_number
 from walktheta.spectral import eig_sym
@@ -19,50 +13,44 @@ SQRT5 = math.sqrt(5.0)
 
 
 def test_hoffman_values():
-    assert hoffman_regular(generate_named("cycle", n=5)) == pytest.approx(SQRT5)
-    assert hoffman_regular(generate_named("petersen")) == pytest.approx(4.0)
-    assert hoffman_regular(generate_named("path", n=17)) is None
-    assert hoffman_regular(generate_named("empty", n=4)) is None
+    assert report(generate_named("cycle", n=5)).hoffman_regular == pytest.approx(SQRT5)
+    assert report(generate_named("petersen")).hoffman_regular == pytest.approx(4.0)
+    assert report(generate_named("path", n=17)).hoffman_regular is None
+    assert report(generate_named("empty", n=4)).hoffman_regular is None
 
 
 def test_walkgen_bound_values():
-    assert walkgen_bound(generate_named("golomb")) == pytest.approx(4.744, abs=1e-3)
-    assert walkgen_bound(generate_named("path", n=17)) == pytest.approx(9.0, abs=1e-6)
-    assert walkgen_bound(generate_named("cycle", n=5)) == pytest.approx(SQRT5, abs=1e-9)
-    assert walkgen_bound(generate_named("empty", n=6)) == 6.0
+    assert report(generate_named("golomb")).walkgen_bound == pytest.approx(4.744, abs=1e-3)
+    assert report(generate_named("path", n=17)).walkgen_bound == pytest.approx(9.0, abs=1e-6)
+    assert report(generate_named("cycle", n=5)).walkgen_bound == pytest.approx(SQRT5, abs=1e-9)
+    assert report(generate_named("empty", n=6)).walkgen_bound == 6.0
 
 
 def test_closed_form_regular_collapses_to_hoffman():
     for g in [generate_named("cycle", n=5), generate_named("complete", n=4),
               generate_named("petersen")]:
-        value, condition = closed_form_bound(g)
-        assert condition
-        assert value == pytest.approx(hoffman_regular(g), abs=1e-9)
+        rep = report(g)
+        assert rep.closed_form_condition
+        assert rep.closed_form_value == pytest.approx(rep.hoffman_regular, abs=1e-9)
 
 
 def test_closed_form_golomb_dominates_interval_minimum():
-    g = generate_named("golomb")
-    value, condition = closed_form_bound(g)
-    assert condition
-    assert value >= walkgen_bound(g) - 1e-9
+    rep = report(generate_named("golomb"))
+    assert rep.closed_form_condition
+    assert rep.closed_form_value >= rep.walkgen_bound - 1e-9
 
 
 def test_closed_form_star_matches_two_term_oracle():
     star = parse_edge_list("5 0 4 1 4 2 4 3 4")
-    value, condition = closed_form_bound(star)
-    assert condition
+    rep = report(star)
+    assert rep.closed_form_condition
     data = eig_sym(adjacency(star))
     n, lam1, lamn = 5, data.lam_max, data.lam_min
     w1 = max(w for rep, w in data.clusters if abs(rep - lam1) < 1e-7)
     s = math.sqrt(-lamn * (n - w1) / (lam1 * w1))
     x = -(1.0 - s) / (-lamn + lam1 * s)
     two_term = w1 / (1.0 - lam1 * x) + (n - w1) / (1.0 - lamn * x)
-    assert value == pytest.approx(two_term, abs=1e-9)
-
-
-def test_closed_form_needs_edges():
-    with pytest.raises(ValueError):
-        closed_form_bound(generate_named("empty", n=3))
+    assert rep.closed_form_value == pytest.approx(two_term, abs=1e-9)
 
 
 def test_laplacian_bound_values():
@@ -108,23 +96,24 @@ def test_dominance_over_corpus_and_random(corpus):
     rng = np.random.default_rng(41)
     graphs += [random_graph(rng) for _ in range(60)]
     for g in graphs:
-        assert walkgen_bound(g) <= laplacian_bound(g) + 1e-8
+        rep = report(g)
+        assert rep.walkgen_bound <= rep.laplacian_bound + 1e-8
 
 
 def test_isolated_vertex_adds_exactly_one(corpus):
     for name, g in corpus:
-        base = walkgen_bound(g)
-        assert walkgen_bound(g.add_isolated_vertex()) == pytest.approx(base + 1.0, abs=1e-8), name
+        base = report(g).walkgen_bound
+        assert report(g.add_isolated_vertex()).walkgen_bound == pytest.approx(base + 1.0, abs=1e-8), name
 
 
 def test_regular_collapse(corpus):
     for name, g in corpus:
         if not g.edges or not g.is_regular():
             continue
-        hoff = hoffman_regular(g)
-        assert abs(walkgen_bound(g) - hoff) <= 1e-9, name
-        value, condition = closed_form_bound(g)
-        assert condition and abs(value - hoff) <= 1e-9, name
+        rep = report(g)
+        hoff = rep.hoffman_regular
+        assert abs(rep.walkgen_bound - hoff) <= 1e-9, name
+        assert rep.closed_form_condition and abs(rep.closed_form_value - hoff) <= 1e-9, name
 
 
 def test_bounds_sandwich_brute_alpha(corpus):

@@ -86,6 +86,18 @@ def test_theta_cycle_with_alpha(capsys):
     assert len(payload["weights"]) == 5
 
 
+@pytest.mark.parametrize("command", [["theta", "--max-iter", "50"], ["bounds"]])
+def test_alpha_oracle_fills_up_to_the_limit(capsys, command):
+    key = "lower" if command[0] == "theta" else "alpha_witness"
+    code, out, _ = run_cli(capsys, *command, "--named", "path", "--n", "5", "--alpha-oracle")
+    assert code == 0
+    assert json.loads(out)[key] == 3
+    n = cli.ALPHA_ORACLE_LIMIT + 5
+    code, out, _ = run_cli(capsys, *command, "--named", "path", "--n", str(n), "--alpha-oracle")
+    assert code == 0
+    assert json.loads(out)[key] is None
+
+
 def test_theta_petersen(capsys):
     code, out, _ = run_cli(capsys, "theta", "--named", "petersen")
     assert code == 0
@@ -318,6 +330,26 @@ def test_removed_flags_are_rejected(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["bounds"], ["theta"], ["plot"], ["verify", "dominance"]])
+def test_file_and_named_together_is_usage_error(capsys, tmp_path, argv):
+    corpus = tmp_path / "c.g6"
+    corpus.write_text("A_\n")
+    code, out, err = run_cli(capsys, *argv, str(corpus), "--named", "cycle", "--n", "5")
+    assert code == 2
+    assert out == ""
+    assert "not both" in err
+
+
+def test_verify_negative_random_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "duality", "--random", "-3")
+    assert code == 2
+    assert out == ""
+    assert "--random" in err
+    code, out, _ = run_cli(capsys, "verify", "duality", "--random", "0")
+    assert code == 0
+    assert json.loads(out) == {"passed": 0, "total": 0, "ok": True}
 
 
 @pytest.mark.parametrize("command", ["bounds", "theta"])

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from walktheta import reciprocal, walkgen
-from walktheta.corpus import fixture_graphs, random_graph
+from walktheta.corpus import fixture_graphs, random_graph, random_instance
 from walktheta.graphs import adjacency, generate_named
 from walktheta.reciprocal import (
     DERIV_TOL,
@@ -16,7 +16,6 @@ from walktheta.reciprocal import (
     central_strip,
     enumerate_critical_points,
     has_critical_points,
-    random_instance,
     verify_duality,
 )
 from walktheta.spectral import eig_sym

@@ -170,6 +170,14 @@ def test_rejects_asymmetric_input():
             decompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
+def test_eigh_checked_returns_the_norm_eig_sym_keeps():
+    m = adjacency(generate_named("golomb"))
+    vals, vecs, scale = eigh_checked(m)
+    data = eig_sym(m)
+    assert scale == float(np.linalg.norm(m)) == data.norm
+    assert np.array_equal(vals, data.eigenvalues) and np.array_equal(vecs, data.eigenvectors)
+
+
 def test_empty_matrix():
     data = eig_sym(np.zeros((0, 0)))
     assert data.n == 0 and data.clusters == ()

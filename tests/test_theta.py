@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import plain_alpha, random_weighted_matrix, reference_optimal_scaling
-from walktheta import theta
+from walktheta import independent_set, theta
 from walktheta.graphs import Graph, adjacency, generate_named, strong_product
 from walktheta.independent_set import independence_number, max_independent_set
 from walktheta.spectral import eig_sym
@@ -15,7 +15,6 @@ from walktheta.theta import (
     _subgradient,
     _top_cluster,
     extract_optimizer,
-    lambda_max_penalized,
     minimize_theta,
     optimal_scaling,
     product_adjacency,
@@ -51,44 +50,58 @@ def test_max_independent_set_is_independent():
 
 # --- lambda_max of the penalized matrix ---
 
+def penalized(g: Graph, weights) -> np.ndarray:
+    """J - A(weights); its spectrum is taken by plain numpy, the oracle of the solver's values."""
+    return np.ones((g.n, g.n)) - WeightedAdjacency(g, tuple(weights)).matrix()
+
+
 def test_lambda_max_all_zero_weights():
     g = generate_named("cycle", n=5)
-    value, vec, mult = lambda_max_penalized(g, [0.0] * 5)
-    assert value == pytest.approx(5.0)
-    assert mult == 1
-    assert abs(vec @ np.ones(5)) == pytest.approx(math.sqrt(5.0))
+    vals, vecs = np.linalg.eigh(penalized(g, [0.0] * 5))
+    assert vals[-1] == pytest.approx(5.0)
+    assert vals[-2] < vals[-1] - 1.0    # a simple top eigenvalue
+    assert abs(vecs[:, -1] @ np.ones(5)) == pytest.approx(math.sqrt(5.0))
 
 
 @pytest.mark.parametrize("w", [0.0, 0.5, 1.0, 1.7])
 def test_lambda_max_k2_analytic(w):
     g = generate_named("complete", n=2)
-    value, _, _ = lambda_max_penalized(g, [w])
-    assert value == pytest.approx(1.0 + abs(1.0 - w), abs=1e-12)
+    assert np.linalg.eigvalsh(penalized(g, [w]))[-1] == pytest.approx(1.0 + abs(1.0 - w), abs=1e-12)
 
 
 # --- the estimator ---
 
 def test_minimize_theta_complete_graphs():
     for n in (3, 4, 6):
-        est = minimize_theta(generate_named("complete", n=n), alpha_oracle=True)
+        est = minimize_theta(generate_named("complete", n=n), known_alpha=1)
         assert est.upper == pytest.approx(1.0, abs=1e-4)
         assert est.lower == 1.0
 
 
 def test_minimize_theta_c5():
     g = generate_named("cycle", n=5)
-    est = minimize_theta(g, alpha_oracle=True)
+    est = minimize_theta(g, known_alpha=independence_number(g))
     assert est.upper == pytest.approx(SQRT5, abs=1e-3)
     assert est.lower == 2.0
     assert est.converged
-    value, _, _ = lambda_max_penalized(g, est.weights)
-    assert value == pytest.approx(est.upper, abs=1e-9)
+    assert np.linalg.eigvalsh(penalized(g, est.weights))[-1] == pytest.approx(est.upper, abs=1e-9)
 
 
 def test_minimize_theta_petersen():
-    est = minimize_theta(generate_named("petersen"), alpha_oracle=True)
+    g = generate_named("petersen")
+    est = minimize_theta(g, known_alpha=independence_number(g))
     assert est.upper == pytest.approx(4.0, abs=1e-3)
     assert est.lower == 4.0
+
+
+def test_minimize_theta_reports_known_alpha_without_searching(monkeypatch):
+    def no_search(g):
+        raise AssertionError("minimize_theta must not search for an independent set")
+
+    monkeypatch.setattr(independent_set, "max_independent_set", no_search)
+    est = minimize_theta(generate_named("petersen"), max_iter=50, known_alpha=4)
+    assert est.lower == 4.0 and type(est.lower) is float
+    assert minimize_theta(generate_named("cycle", n=5), max_iter=50).lower is None
 
 
 def test_minimize_theta_edgeless():
@@ -100,7 +113,7 @@ def test_minimize_theta_edgeless():
 
 def test_minimize_theta_monotone_history_and_soundness():
     g = generate_named("golomb")
-    est = minimize_theta(g, alpha_oracle=True)
+    est = minimize_theta(g, known_alpha=independence_number(g))
     hist = est.history
     assert all(a >= b for a, b in zip(hist, hist[1:]))
     assert est.upper >= est.lower - 1e-7

@@ -7,11 +7,7 @@ from conftest import random_weighted_matrix
 from walktheta.graphs import adjacency, generate_named
 from walktheta.reciprocal import PoleProximityError, ReciprocalSum
 from walktheta.spectral import eig_sym
-from walktheta.walkgen import (
-    minimize_on_spectral_interval,
-    minimize_on_subinterval,
-    sample,
-)
+from walktheta.walkgen import minimize, minimize_on_spectral_interval, sample
 
 SQRT5 = math.sqrt(5.0)
 
@@ -78,29 +74,21 @@ def test_minimize_zero_matrix_sentinel():
 
 
 def test_subinterval_c5():
-    a = adjacency(generate_named("cycle", n=5))
-    lam_min = eig_sym(a).lam_min
-    opt = minimize_on_subinterval(a, 1.0 / lam_min, 0.0)
+    data = eig_sym(adjacency(generate_named("cycle", n=5)))
+    opt = minimize(data, 1.0 / data.lam_min, 0.0)
     assert opt.value == pytest.approx(SQRT5, abs=1e-12)
 
 
 def test_subinterval_p17_is_nine():
-    a = adjacency(generate_named("path", n=17))
-    lam_min = eig_sym(a).lam_min
-    opt = minimize_on_subinterval(a, 1.0 / lam_min, 0.0)
+    data = eig_sym(adjacency(generate_named("path", n=17)))
+    opt = minimize(data, 1.0 / data.lam_min, 0.0)
     assert opt.value == pytest.approx(9.0, abs=1e-6)
     assert not opt.at_endpoint
 
 
 def test_subinterval_zero_matrix():
-    opt = minimize_on_subinterval(np.zeros((5, 5)), -1.0, 1.0)
+    opt = minimize(eig_sym(np.zeros((5, 5))), -1.0, 1.0)
     assert opt.value == 5.0
-
-
-def test_subinterval_outside_spectral_interval():
-    a = adjacency(generate_named("cycle", n=5))
-    with pytest.raises(ValueError, match="spectral interval"):
-        minimize_on_subinterval(a, -10.0, 0.0)
 
 
 def test_convexity_on_random_weighted_graphs():

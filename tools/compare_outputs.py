@@ -31,6 +31,8 @@ CASES = [[f"bounds{s}", "bounds", f"bounds{s}.g6"] for s in (1, 2, 13)]
 CASES += [[f"theta{s}", "theta", f"theta{s}.g6", "--max-iter", "400"] for s in (1, 2)]
 CASES += [[f"verify{s}", "verify", "all", "--random", "500", "--seed", str(s)] for s in (1, 2)]
 CASES += [["plot-p17", "plot", "--named", "path", "--n", "17"], ["plot-golomb", "plot", "--named", "golomb"]]
+CASES += [["bounds1-alpha", "bounds", "bounds1.g6", "--alpha-oracle"],
+          ["theta1-alpha", "theta", "theta1.g6", "--max-iter", "400", "--alpha-oracle"]]
 
 
 def run(args: list, cwd: str, *pythonpath: Path) -> tuple:
