@@ -23,6 +23,7 @@ from .graphs import (
 from .independent_set import independence_number
 
 ALPHA_ORACLE_LIMIT = 20
+VERIFY_CASE_CAP = 100       # random cases of verify scaling and optimizer, whatever --random asks
 
 
 class InputError(Exception):
@@ -103,6 +104,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_theta(args) -> int:
+    if args.max_iter < 1:
+        raise InputError(f"--max-iter must be at least 1, got {args.max_iter}")
     graphs = _read_graphs(args)
     with _output(args) as write:
         for g in graphs:
@@ -207,13 +210,13 @@ def cmd_verify(args) -> int:
             if suite == "duality":
                 _suite_duality(args.random, args.seed, emit)
             elif suite == "scaling":
-                _suite_scaling(min(args.random, 100), args.seed, emit)
+                _suite_scaling(min(args.random, VERIFY_CASE_CAP), args.seed, emit)
             elif suite == "product":
                 _suite_product(args.seed, emit)
             elif suite == "dominance":
                 _suite_dominance(graphs, args.random, args.seed, emit)
             elif suite == "optimizer":
-                _suite_optimizer(min(args.random, 100), args.seed, emit)
+                _suite_optimizer(min(args.random, VERIFY_CASE_CAP), args.seed, emit)
         failures = verdicts.count(False)
         emit({"passed": len(verdicts) - failures, "total": len(verdicts), "ok": failures == 0})
     return 0 if failures == 0 else 1
@@ -274,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theta", help="per-graph theta estimates as JSON lines")
     add_input(p)
     p.add_argument("--tol", type=float, default=1e-6, help="stall tolerance")
-    p.add_argument("--max-iter", type=int, default=5000)
+    p.add_argument("--max-iter", type=int, default=5000, help="subgradient iterations, at least 1")
     p.add_argument("--alpha-oracle", action="store_true")
     p.set_defaults(func=cmd_theta)
 
@@ -283,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      "dominance", "optimizer", "all"))
     add_input(p)
     p.add_argument("--random", type=int, default=500,
-                   help="number of random cases where applicable")
+                   help="number of random cases where applicable; "
+                        f"scaling and optimizer run at most {VERIFY_CASE_CAP} of them")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 

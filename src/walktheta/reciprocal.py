@@ -206,35 +206,54 @@ def _isolate(f: ReciprocalSum, cuts: list) -> tuple:
     is monotone between poles, which lie only on cuts: summed endpoint minima and maxima
     enclose f' and f'' (Moore's natural interval extension). An interval is dropped if the
     f' enclosure excludes 0; if the f'' one does, it is a bracket when f' changes sign
-    between finite end values, else dropped; any other interval is halved.
+    between finite end values, else dropped; any other interval is halved, left halves
+    first. Plain float loops: sums run in term order from 0.0, as numpy's do below 8 terms.
     """
-    p = np.array([1.0 / b for b in f.rates if b])
-    d = np.array([w / b for w, b in zip(f.weights, f.rates) if b])
-    x = np.array([cuts[:-1], cuts[1:]]).T               # interval ends
-    q = x[:, :, None] - p
-    q[:, 1][q[:, 1] == 0.0] = -0.0                      # a pole at a right end is approached from below
+    terms = [(1.0 / b, w / b) for w, b in zip(f.weights, f.rates) if b]
+    spans = [(_ends(a, terms, False), _ends(b, terms, True)) for a, b in zip(cuts, cuts[1:])]
     brackets, zeros, unresolved = [], [], 0
-    with np.errstate(divide="ignore"):
-        t = d / q ** 2                                  # terms of f' at the ends
-        while len(x):
-            s, ends = t / q, t.sum(2)                   # terms of f'' over -2; f' at the ends
-            holds_root = (t.min(1).sum(1) <= 0.0) & (t.max(1).sum(1) >= 0.0)
-            monotone = (s.min(1).sum(1) > 0.0) | (s.max(1).sum(1) < 0.0)
-            crossing, finite = np.sign(ends).prod(1) < 0.0, np.isfinite(ends).all(1)
-            found = holds_root & monotone & crossing & finite
-            brackets += zip(*x[found].T.tolist(), ends[found, 0].tolist())
-            split = holds_root & ~(monotone & (finite | ~crossing))
-            wide = x[:, 1] - x[:, 0] > X_TOL * np.maximum(1.0, np.abs(x).max(1))
-            unresolved += int(np.count_nonzero(split & ~wide))
-            split &= wide
-            mid = 0.5 * (x[split, 0] + x[split, 1])
-            q_mid = mid[:, None] - p
-            t_mid = d / q_mid ** 2
-            zeros += mid[t_mid.sum(1) == 0.0].tolist()
-            x, q, t = (np.concatenate((v[split], v[split])) for v in (x, q, t))
-            for v, at_mid in ((x, mid), (q, q_mid), (t, t_mid)):
-                v[: len(mid), 1] = v[len(mid):, 0] = at_mid
+    while spans:
+        halved = []
+        for lo, hi in spans:
+            low, high = _hull(lo[1], hi[1])
+            if not low <= 0.0 <= high:
+                continue
+            low, high = _hull(lo[2], hi[2])
+            monotone = low > 0.0 or high < 0.0
+            (a, _, _, da), (b, _, _, db) = lo, hi
+            crossing = da < 0.0 < db or db < 0.0 < da       # a NaN end never crosses
+            if monotone and crossing and abs(da) < math.inf and abs(db) < math.inf:
+                brackets.append((a, b, da))
+            elif not monotone or crossing:     # undecided: halve, down to X_TOL
+                if b - a <= X_TOL * max(1.0, abs(a), abs(b)):
+                    unresolved += 1
+                else:
+                    halved.append((lo, _ends(0.5 * (a + b), terms, False), hi))
+        zeros += [mid[0] for _, mid, _ in halved if mid[3] == 0.0]
+        spans = [(lo, mid) for lo, mid, _ in halved] + [(mid, hi) for _, mid, hi in halved]
     return brackets, zeros, unresolved
+
+
+def _ends(x: float, terms: list, right: bool) -> tuple:
+    """(x, terms d / q^2 of f', d / q^3 of f'' over -2, f'(x)) for q = x - p; at q = 0 IEEE's +-inf."""
+    ts, ss = [], []
+    for p, d in terms:
+        q = (x - p) or (-0.0 if right else 0.0)     # a right end nears its pole from below
+        qq = q * q
+        t = d / qq if qq else math.copysign(math.inf, d)
+        ts.append(t)
+        ss.append(t / q if q else t * math.copysign(1.0, q))
+    return x, ts, ss, sum(ts, 0.0)
+
+
+def _hull(u: list, v: list) -> tuple:
+    """(sum of min(u_i, v_i), sum of max(u_i, v_i)); NaN propagates, as in numpy."""
+    low = high = 0.0
+    for x, y in zip(u, v):
+        if not x <= y:
+            x, y = (y, x) if y < x else (math.nan, math.nan)
+        low, high = low + x, high + y
+    return low, high
 
 
 class CriticalPoints(list):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SpectralData", "eigh_checked", "eig_sym", "cluster_weights"]
+__all__ = ["SpectralData", "eigh_checked", "check_eigenpairs", "eig_sym", "cluster_weights"]
 
 # Relative tolerances: eigensolver residual, eigenvalue clustering, the
 # threshold below which a cluster's all-ones weight counts as exactly zero,
@@ -58,17 +58,21 @@ def eigh_checked(m: np.ndarray) -> tuple:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.size and not np.array_equal(m, m.T):
         raise ValueError("matrix is not exactly symmetric")
-    n = m.shape[0]
-    if n == 0:
+    if m.shape[0] == 0:
         return np.zeros(0), np.zeros((0, 0)), 0.0
     vals, vecs = np.linalg.eigh(m)
+    return vals, vecs, check_eigenpairs(m, vals, vecs)
+
+
+def check_eigenpairs(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
+    """Frobenius norm of m; LinAlgError unless max|m vecs - vecs diag(vals)| <= 100 TOL_EIG norm n."""
     scale = float(np.linalg.norm(m))
     resid = float(np.max(np.abs(m @ vecs - vecs * vals)))
-    if scale > 0 and resid > 100 * TOL_EIG * scale * n:
+    if scale > 0 and resid > 100 * TOL_EIG * scale * len(m):
         raise np.linalg.LinAlgError(
             f"eigendecomposition residual {resid:.3e} exceeds tolerance at scale {scale:.3e}"
         )
-    return vals, vecs, scale
+    return scale
 
 
 def eig_sym(m: np.ndarray) -> SpectralData:

@@ -270,6 +270,23 @@ def _shifted_product(a_g, data_g, gamma_g, a_h, data_h, gamma_h) -> np.ndarray:
     return m + 0.0                          # -0.0 -> +0.0, as on a zero matrix filled on the edges
 
 
+def _product_spectrum(data_g, gamma_g, data_h, gamma_h) -> spectral.SpectralData:
+    """Spectral data of `_shifted_product`'s matrix, read off the factors' decompositions.
+
+    Eigenvalues (mu + gamma_g)(nu + gamma_h) - gamma_g*gamma_h, sorted stably; eigenvectors
+    u (x) v; `norm` is the eigenvalues' 2-norm, the matrix's Frobenius norm.
+    """
+    _check_shift("gamma_g", data_g, gamma_g)
+    _check_shift("gamma_h", data_h, gamma_h)
+    vals = (np.outer(data_g.eigenvalues + gamma_g, data_h.eigenvalues + gamma_h) - gamma_g * gamma_h).ravel()
+    order = np.argsort(vals, kind="stable")
+    u, v, n = data_g.eigenvectors, data_h.eigenvectors, len(vals)
+    vecs = (u[:, None, :, None] * v[None, :, None, :]).reshape(n, n)[:, order]
+    data = spectral.SpectralData(vals[order], vecs, (), float(np.linalg.norm(vals)))
+    object.__setattr__(data, "clusters", spectral.cluster_weights(data))
+    return data
+
+
 def _walk_value(m: np.ndarray, x: float) -> float:
     """W_m(x) = 1^T (I - x m)^-1 1 by its definition: one solve, no eigendecomposition."""
     return float(np.sum(np.linalg.solve(np.eye(len(m)) - x * m, np.ones(len(m)))))
@@ -316,7 +333,9 @@ def submultiplicativity_check(
     minima. Also checks the factorization identity
     W_product(-1/(gamma_g*gamma_h)) = W_g(-1/gamma_g) * W_h(-1/gamma_h)
     at `n_random` random valid shift pairs, the left side by one solve of
-    its definition. Only the factors and the grid products are decomposed.
+    its definition. Only the factors are decomposed: grid products' spectra
+    are read off theirs, and must pass the residual check against the
+    product matrix at the grid point that sets lhs (LinAlgError otherwise).
     """
     a_g, a_h = adjacency(g), adjacency(h)
     data_g, data_h = spectral.eig_sym(a_g), spectral.eig_sym(a_h)
@@ -325,13 +344,14 @@ def submultiplicativity_check(
         return _shifted_product(a_g, data_g, gg, a_h, data_h, gh)
 
     rhs = walkgen.minimize(data_g).value * walkgen.minimize(data_h).value
-    lhs = math.inf
     grid_h = _valid_gamma_samples(data_h, grid)
-    for gg in _valid_gamma_samples(data_g, grid):
-        for gh in grid_h:
-            if abs(gg * gh) < 1e-12:
-                continue
-            lhs = min(lhs, walkgen.minimize_on_spectral_interval(product(gg, gh)).value)
+    points = [(gg, gh) for gg in _valid_gamma_samples(data_g, grid) for gh in grid_h if abs(gg * gh) >= 1e-12]
+    values = [walkgen.minimize(_product_spectrum(data_g, gg, data_h, gh)).value for gg, gh in points]
+    lhs = min(values, default=math.inf)
+    if points:
+        gg, gh = points[values.index(lhs)]
+        data = _product_spectrum(data_g, gg, data_h, gh)
+        spectral.check_eigenpairs(product(gg, gh), data.eigenvalues, data.eigenvectors)
     rng = np.random.default_rng(seed)
     w_g, w_h = ReciprocalSum.from_spectral(data_g), ReciprocalSum.from_spectral(data_h)
     samples_g = _valid_gamma_samples(data_g, n_random, rng)

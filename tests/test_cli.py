@@ -352,6 +352,23 @@ def test_verify_negative_random_is_usage_error(capsys):
     assert json.loads(out) == {"passed": 0, "total": 0, "ok": True}
 
 
+@pytest.mark.parametrize("max_iter", ["0", "-1"])
+def test_theta_max_iter_below_one_is_usage_error(capsys, max_iter):
+    code, out, err = run_cli(capsys, "theta", "--named", "cycle", "--n", "5", "--max-iter", max_iter)
+    assert code == 2
+    assert out == ""
+    assert "--max-iter" in err
+
+
+def test_verify_scaling_runs_at_most_the_case_cap(capsys):
+    code, out, _ = run_cli(capsys, "verify", "scaling", "--random", "300")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1]) == {"passed": 100, "total": 100, "ok": True}
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "scaling and optimizer run at most 100" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("command", ["bounds", "theta"])
 def test_parse_error_keeps_earlier_lines(capsys, tmp_path, command):
     corpus = tmp_path / "bad.g6"

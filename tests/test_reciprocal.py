@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import mpmath as mp
@@ -44,6 +45,98 @@ def by_reference(call, *args):
     """`call(*args)` with the reference bisection in place of `reciprocal._root`."""
     with mock.patch.object(reciprocal, "_root", reference_bisect):
         return call(*args)
+
+
+def reference_isolate(f: ReciprocalSum, cuts: list) -> tuple:
+    """`reciprocal._isolate` as numpy arrays over all intervals of a halving round at once.
+
+    The body it had before its plain-float loops, kept as their oracle: below 8
+    terms numpy's sums run in the same order, so every result is identical;
+    from 8 terms on only f'(a) may differ, in its last ulp.
+    """
+    p = np.array([1.0 / b for b in f.rates if b])
+    d = np.array([w / b for w, b in zip(f.weights, f.rates) if b])
+    x = np.array([cuts[:-1], cuts[1:]]).T               # interval ends
+    q = x[:, :, None] - p
+    q[:, 1][q[:, 1] == 0.0] = -0.0                      # a pole at a right end is approached from below
+    brackets, zeros, unresolved = [], [], 0
+    with np.errstate(divide="ignore"):
+        t = d / q ** 2                                  # terms of f' at the ends
+        while len(x):
+            s, ends = t / q, t.sum(2)                   # terms of f'' over -2; f' at the ends
+            holds_root = (t.min(1).sum(1) <= 0.0) & (t.max(1).sum(1) >= 0.0)
+            monotone = (s.min(1).sum(1) > 0.0) | (s.max(1).sum(1) < 0.0)
+            crossing, finite = np.sign(ends).prod(1) < 0.0, np.isfinite(ends).all(1)
+            found = holds_root & monotone & crossing & finite
+            brackets += zip(*x[found].T.tolist(), ends[found, 0].tolist())
+            split = holds_root & ~(monotone & (finite | ~crossing))
+            wide = x[:, 1] - x[:, 0] > X_TOL * np.maximum(1.0, np.abs(x).max(1))
+            unresolved += int(np.count_nonzero(split & ~wide))
+            split &= wide
+            mid = 0.5 * (x[split, 0] + x[split, 1])
+            q_mid = mid[:, None] - p
+            t_mid = d / q_mid ** 2
+            zeros += mid[t_mid.sum(1) == 0.0].tolist()
+            x, q, t = (np.concatenate((v[split], v[split])) for v in (x, q, t))
+            for v, at_mid in ((x, mid), (q, q_mid), (t, t_mid)):
+                v[: len(mid), 1] = v[len(mid):, 0] = at_mid
+    return brackets, zeros, unresolved
+
+
+def isolation_cuts(f: ReciprocalSum) -> list:
+    """The cuts `enumerate_critical_points` isolates between."""
+    reach = 2.0 ** math.ceil(math.log2(2.0 * max(map(abs, f.poles)) + 1.0))
+    return [-reach, *f.poles, reach]
+
+
+def assert_isolates_as_reference(f: ReciprocalSum) -> None:
+    """Same bracket ends, signs of f'(a), halving zeros and unresolved count; all of it below 8 terms."""
+    cuts = isolation_cuts(f)
+    got, ref = reciprocal._isolate(f, cuts), reference_isolate(f, cuts)
+    if len(f.poles) < 8:
+        assert got == ref
+    (brackets, zeros, unresolved), (ref_brackets, ref_zeros, ref_unresolved) = got, ref
+    assert [(a, b) for a, b, _ in brackets] == [(a, b) for a, b, _ in ref_brackets]
+    assert [da < 0.0 for _, _, da in brackets] == [da < 0.0 for _, _, da in ref_brackets]
+    assert (zeros, unresolved) == (ref_zeros, ref_unresolved)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24))
+def test_isolation_matches_numpy_reference_on_random_sums(seed, n):
+    """Mixed-sign rates in [-5, 5], weights in [0.1, 10]."""
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(-5.0, 5.0, size=n)
+    rates[0], rates[-1] = rng.uniform(0.01, 5.0), -rng.uniform(0.01, 5.0)
+    assume(len(set(rates.tolist())) == n and np.all(rates != 0.0))
+    assert_isolates_as_reference(ReciprocalSum(tuple(rng.uniform(0.1, 10.0, size=n)), tuple(rates)))
+
+
+def test_isolation_matches_numpy_reference_on_walk_sums(corpus):
+    """The test corpus, P5, P17 (8 poles), and 100 G(n, p) with up to 30 vertices."""
+    rng = np.random.default_rng(21)
+    graphs = [g for _, g in corpus] + [generate_named("path", n=n) for n in (5, 17)]
+    graphs += [random_graph(rng, n_max=30) for _ in range(100)]
+    checked = 0
+    for g in graphs:
+        f = ReciprocalSum.from_spectral(eig_sym(adjacency(g)))
+        if f.poles:
+            assert_isolates_as_reference(f)
+            checked += 1
+    assert checked >= 100
+
+
+def test_isolation_keeps_ieee_results_at_poles():
+    """A pole at each end of an interval: d / 0 is +-inf and the right end's q is -0.0."""
+    f = ReciprocalSum((1.0, 2.0, 1.5), (2.0, -1.0, 0.5))
+    cuts = isolation_cuts(f)
+    assert cuts[1:-1] == [-1.0, 0.5, 2.0]
+    assert reciprocal._isolate(f, cuts) == reference_isolate(f, cuts)
+    _, ts, ss, _ = reciprocal._ends(0.5, [(0.5, 4.0)], True)
+    assert (ts, ss) == ([math.inf], [-math.inf])
+    _, ts, ss, _ = reciprocal._ends(0.5, [(0.5, -4.0)], False)
+    assert (ts, ss) == ([-math.inf], [-math.inf])
+    assert all(map(math.isnan, reciprocal._hull([math.inf, 1.0], [-math.inf, math.nan])))
 
 
 def mpmath_critical_points(weights, rates) -> list:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import plain_alpha, random_weighted_matrix, reference_optimal_scaling
-from walktheta import independent_set, theta
+from walktheta import cli, independent_set, spectral, theta, walkgen
 from walktheta.graphs import Graph, adjacency, generate_named, strong_product
 from walktheta.independent_set import independence_number, max_independent_set
 from walktheta.spectral import eig_sym
@@ -383,16 +383,13 @@ def test_extract_optimizer_decomposes_once(eig_calls):
 
 def test_submultiplicativity_decomposes_each_factor_once(eig_calls):
     g, h = generate_named("cycle", n=5), generate_named("path", n=3)
-    grid_pairs = len(theta._valid_gamma_samples(eig_sym(adjacency(g)), 4)) * len(
-        theta._valid_gamma_samples(eig_sym(adjacency(h)), 4))
-    eig_calls.clear()
     submultiplicativity_check(g, h, grid=4, n_random=5)
     factors = [m for m in eig_calls if m.shape != (15, 15)]
     assert len(factors) == 2
     assert np.array_equal(factors[0], adjacency(g))
     assert np.array_equal(factors[1], adjacency(h))
-    # one decomposition per grid product; the identity samples decompose nothing
-    assert len(eig_calls) - len(factors) == grid_pairs
+    # the grid products' spectra come from the factors; the identity samples decompose nothing
+    assert len(eig_calls) == len(factors)
 
 
 def test_submultiplicativity_builds_product_graph_once(monkeypatch):
@@ -403,6 +400,45 @@ def test_submultiplicativity_builds_product_graph_once(monkeypatch):
     submultiplicativity_check(generate_named("cycle", n=5), generate_named("path", n=3),
                               grid=4, n_random=5)
     assert len(built) == 0
+
+
+# --- grid products' spectra from the factors ---
+
+def test_product_spectrum_matches_matrix_route_on_verify_pairs(corpus):
+    """At every grid point, the walk minimum to 1e-12 relative and the same cluster count."""
+    graphs = dict(corpus)
+    points = 0
+    for na, nb in VERIFY_PRODUCT_PAIRS:
+        a_g, a_h = adjacency(graphs[na]), adjacency(graphs[nb])
+        data_g, data_h = eig_sym(a_g), eig_sym(a_h)
+        grid_h = theta._valid_gamma_samples(data_h, 8)
+        for gg in theta._valid_gamma_samples(data_g, 8):
+            for gh in grid_h:
+                if abs(gg * gh) < 1e-12:
+                    continue
+                derived = theta._product_spectrum(data_g, gg, data_h, gh)
+                direct = eig_sym(theta._shifted_product(a_g, data_g, gg, a_h, data_h, gh))
+                assert len(derived.clusters) == len(direct.clusters), (na, nb, gg, gh)
+                got, want = walkgen.minimize(derived).value, walkgen.minimize(direct).value
+                assert abs(got - want) <= 1e-12 * abs(want), (na, nb, gg, gh)
+                points += 1
+    assert points == 944
+
+
+def test_product_spectrum_is_checked_against_the_product_matrix(monkeypatch):
+    """Eigenpairs that are not the product's fail the residual check at the grid point that sets lhs."""
+    real = theta._product_spectrum
+
+    def perturbed(data_g, gamma_g, data_h, gamma_h):
+        data = real(data_g, gamma_g, data_h, gamma_h)
+        shifted = data.eigenvalues + 1e-4 * data.norm   # 1e-8 * norm * n is allowed
+        return spectral.SpectralData(shifted, data.eigenvectors, data.clusters, data.norm)
+
+    monkeypatch.setattr(theta, "_product_spectrum", perturbed)
+    c5 = generate_named("cycle", n=5)
+    with pytest.raises(np.linalg.LinAlgError, match="residual"):
+        submultiplicativity_check(c5, c5)
+    assert cli.main(["verify", "product"]) == 1
 
 
 # --- the shifted product, built without a mask ---
