@@ -22,17 +22,15 @@ from .reciprocal import (
     has_critical_points,
     verify_duality,
 )
-from .walkgen import IntervalMin, minimize_on_spectral_interval, sample
+from .walkgen import IntervalMin, sample
 from .bounds import BoundReport, laplacian_bound, report
 from .independent_set import independence_number, max_independent_set
 from .theta import (
     OptimizerVector,
     ThetaEstimate,
-    WeightedAdjacency,
     extract_optimizer,
     minimize_theta,
     optimal_scaling,
-    product_adjacency,
     submultiplicativity_check,
 )
 

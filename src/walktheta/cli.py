@@ -129,8 +129,7 @@ def _suite_scaling(count: int, seed: int, emit) -> None:
     rng = np.random.default_rng(seed)
     for i in range(count):
         a = random_weighted(rng)
-        t, scaled = theta.optimal_scaling(a)
-        direct = walkgen.minimize_on_spectral_interval(a).value
+        t, scaled, direct = theta.optimal_scaling(a)
         # s -> lambda_max(J - s*a) is convex, so a t no worse than both
         # neighbours is a global minimiser
         ones = np.ones(a.shape)
@@ -183,7 +182,7 @@ def _suite_optimizer(count: int, seed: int, emit) -> None:
         ok = (
             cert.residual_orth <= theta.RESIDUAL_TOL * max(1.0, norm_a) * scale
             and cert.residual_sphere <= theta.RESIDUAL_TOL * scale
-            and abs(cert.norm_sq - walkgen.minimize_on_spectral_interval(a).value) <= 1e-6
+            and abs(cert.norm_sq - cert.walk_min) <= 1e-6
         )
         emit({"suite": "optimizer", "case": i, "ok": bool(ok)})
 
@@ -191,6 +190,8 @@ def _suite_optimizer(count: int, seed: int, emit) -> None:
 def cmd_verify(args) -> int:
     if args.random < 0:
         raise InputError(f"--random must be at least 0, got {args.random}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be at least 0, got {args.seed}")
     graphs = None
     if args.input or args.named:
         if args.suite not in ("dominance", "all"):
@@ -241,6 +242,8 @@ def cmd_plot(args) -> int:
     else:
         lo = args.lo if args.lo is not None else -1.0
         hi = args.hi if args.hi is not None else 1.0
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise InputError(f"plot needs finite --lo < --hi, got [{lo:.12g}, {hi:.12g}]")
     lines.append("x,W")
     for x, value in walkgen.sample(fn, lo, hi, args.samples):
         if value is None:

@@ -263,11 +263,11 @@ def _require_n(name: str, n) -> None:
         raise ValueError(f"{name} needs parameter n")
 
 
-def adjacency(g: Graph) -> np.ndarray:
-    """0/1 adjacency matrix as a dense symmetric float array."""
+def adjacency(g: Graph, weights=1.0) -> np.ndarray:
+    """Symmetric zero-diagonal matrix with `weights` on g's edges in edge-index order; 0/1 by default."""
     a = np.zeros((g.n, g.n))
-    a[g.rows, g.cols] = 1.0
-    a[g.cols, g.rows] = 1.0
+    a[g.rows, g.cols] = weights
+    a[g.cols, g.rows] = weights
     return a
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,16 +22,20 @@ class SpectralData:
     """Eigenvalues (ascending), orthonormal eigenvector columns, weight clusters and norm.
 
     Each cluster is a pair (representative eigenvalue, summed squared overlap
-    of the all-ones vector with the cluster's eigenvectors). Clusters whose
-    weight vanishes numerically are dropped, so the surviving weights are
-    strictly positive and sum to n up to roundoff. `norm` is the Frobenius
-    norm of the decomposed matrix.
+    of the all-ones vector with the cluster's eigenvectors), computed on
+    construction by `cluster_weights`. Clusters whose weight vanishes
+    numerically are dropped, so the surviving weights are strictly positive
+    and sum to n up to roundoff. `norm` is the Frobenius norm of the
+    decomposed matrix.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    clusters: tuple
     norm: float
+    clusters: tuple = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "clusters", cluster_weights(self))
 
     @property
     def n(self) -> int:
@@ -77,10 +81,7 @@ def check_eigenpairs(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float
 
 def eig_sym(m: np.ndarray) -> SpectralData:
     """Full eigendecomposition of a symmetric matrix, with weight clusters attached."""
-    vals, vecs, norm = eigh_checked(m)
-    data = SpectralData(vals, vecs, (), norm)
-    object.__setattr__(data, "clusters", cluster_weights(data))
-    return data
+    return SpectralData(*eigh_checked(m))
 
 
 def cluster_weights(data: SpectralData) -> tuple:

@@ -17,17 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral, walkgen
-from .graphs import Graph, adjacency, strong_product
+from .graphs import Graph, adjacency
 from .reciprocal import ReciprocalSum
 
 __all__ = [
-    "WeightedAdjacency",
     "ThetaEstimate",
     "OptimizerVector",
     "minimize_theta",
     "optimal_scaling",
     "extract_optimizer",
-    "product_adjacency",
     "submultiplicativity_check",
 ]
 
@@ -35,37 +33,6 @@ RESIDUAL_TOL = 1e-7
 # Subgradient descent stops once the best value improved by less than the
 # stall tolerance over this many iterations.
 STALL_WINDOW = 200
-
-
-def _weight_matrix(g: Graph, weights) -> np.ndarray:
-    """Symmetric zero-diagonal matrix with `weights` on g's edges, in edge-index order."""
-    a = np.zeros((g.n, g.n))
-    a[g.rows, g.cols] = weights
-    a[g.cols, g.rows] = weights
-    return a
-
-
-@dataclass(frozen=True)
-class WeightedAdjacency:
-    """Edge weights over a fixed graph; induces a symmetric zero-diagonal matrix.
-
-    `weights` follow the graph's edge index (`graph.rows`, `graph.cols`).
-    """
-
-    graph: Graph
-    weights: tuple
-
-    def __post_init__(self):
-        if len(self.weights) != self.graph.num_edges:
-            raise ValueError(f"need {self.graph.num_edges} weights, got {len(self.weights)}")
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-
-    def matrix(self) -> np.ndarray:
-        return _weight_matrix(self.graph, self.weights)
-
-    @classmethod
-    def unweighted(cls, g: Graph) -> "WeightedAdjacency":
-        return cls(g, (1.0,) * len(g.edges))
 
 
 @dataclass(frozen=True)
@@ -95,6 +62,7 @@ class OptimizerVector:
     norm_sq: float
     residual_orth: float
     residual_sphere: float
+    walk_min: float         # the interval minimum W(x*); n for a zero matrix
 
 
 def _top_cluster(b: np.ndarray):
@@ -142,7 +110,7 @@ def minimize_theta(
     iterations = 0
     for k in range(1, max_iter + 1):
         iterations = k
-        value, grad = _subgradient(g.rows, g.cols, ones - _weight_matrix(g, w))
+        value, grad = _subgradient(g.rows, g.cols, ones - adjacency(g, w))
         if value < best_val:
             best_val = value
             best_w = w.copy()
@@ -162,7 +130,7 @@ def minimize_theta(
     for ray in rays:
         if np.linalg.norm(ray) <= walkgen.ZERO_NORM:
             continue
-        t, value = optimal_scaling(_weight_matrix(g, ray))
+        t, value, _ = optimal_scaling(adjacency(g, ray))
         if value < best_val:
             best_val = value
             best_w = t * ray
@@ -180,9 +148,8 @@ def minimize_theta(
 def optimal_scaling(a: np.ndarray) -> tuple:
     """Minimize the convex map t -> lambda_max(J - t*a) by reading off the walk-function minimum.
 
-    At the interval minimum x* of W_a, t = -x* W(x*). The value returned is
-    lambda_max(J - t*a) itself, an eigenvalue of a feasible weighting, so it
-    is an upper bound whatever t is; W(x*) is not returned.
+    At the interval minimum x* of W_a, t = -x* W(x*). Returns (t, lambda_max(J - t*a), W(x*)).
+    The second, an eigenvalue of a feasible weighting, is an upper bound whatever t is.
     """
     a = np.asarray(a, dtype=float)
     data = spectral.eig_sym(a)
@@ -190,7 +157,7 @@ def optimal_scaling(a: np.ndarray) -> tuple:
         raise ValueError("optimal scaling needs a nonzero matrix")
     opt = walkgen.minimize(data)
     t = -opt.x_star * opt.value
-    return float(t), float(np.linalg.eigvalsh(np.ones(a.shape) - t * a)[-1])
+    return float(t), float(np.linalg.eigvalsh(np.ones(a.shape) - t * a)[-1]), float(opt.value)
 
 
 def extract_optimizer(a: np.ndarray) -> OptimizerVector:
@@ -203,14 +170,13 @@ def extract_optimizer(a: np.ndarray) -> OptimizerVector:
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     if float(np.linalg.norm(a)) <= walkgen.ZERO_NORM:
-        v = np.ones(n)
-        return _certify(v, a)
+        return _certify(np.ones(n), a, float(n))
     data = spectral.eig_sym(a)
     opt = walkgen.minimize(data)
     y = opt.x_star
     if not opt.at_endpoint:
         v = np.linalg.solve(np.eye(n) - y * a, np.ones(n))
-        return _certify(v, a)
+        return _certify(v, a, opt.value)
     vals, vecs = data.eigenvalues, data.eigenvectors
     lam_end = data.lam_min if y < 0 else data.lam_max
     tol = spectral.TOL_CLUSTER * max(1.0, float(np.linalg.norm(vals)))
@@ -222,14 +188,14 @@ def extract_optimizer(a: np.ndarray) -> OptimizerVector:
     # at an endpoint minimum derivative_at_x is W'(y), evaluated at y itself
     kick = math.sqrt(max(0.0, -y * opt.derivative_at_x))
     v = v + kick * vecs[:, int(np.argmax(in_cluster))]
-    return _certify(v, a)
+    return _certify(v, a, opt.value)
 
 
-def _certify(v: np.ndarray, a: np.ndarray) -> OptimizerVector:
+def _certify(v: np.ndarray, a: np.ndarray, walk_min: float) -> OptimizerVector:
     norm_sq = float(v @ v)
     residual_orth = abs(float(v @ a @ v))
     residual_sphere = abs(norm_sq - float(np.sum(v)))
-    return OptimizerVector(v, norm_sq, residual_orth, residual_sphere)
+    return OptimizerVector(v, norm_sq, residual_orth, residual_sphere, float(walk_min))
 
 
 def _check_shift(name: str, data: spectral.SpectralData, gamma: float) -> None:
@@ -240,27 +206,12 @@ def _check_shift(name: str, data: spectral.SpectralData, gamma: float) -> None:
         raise ValueError(f"{name} = {gamma} lies in the forbidden band ({band_lo}, {band_hi})")
 
 
-def product_adjacency(
-    wa_g: WeightedAdjacency,
-    wa_h: WeightedAdjacency,
-    gamma_g: float,
-    gamma_h: float,
-) -> WeightedAdjacency:
-    """Weighted adjacency for the strong product built from shifted factors.
-
-    Eigenvalues are (mu + gamma_g)(nu + gamma_h) - gamma_g*gamma_h over factor
-    eigenvalue pairs. Each gamma must avoid the open band where the shifted
-    factor is indefinite.
-    """
-    a_g, a_h = wa_g.matrix(), wa_h.matrix()
-    data_g, data_h = spectral.eig_sym(a_g), spectral.eig_sym(a_h)
-    product = strong_product(wa_g.graph, wa_h.graph)
-    m = _shifted_product(a_g, data_g, gamma_g, a_h, data_h, gamma_h)
-    return WeightedAdjacency(product, m[product.rows, product.cols])
-
-
 def _shifted_product(a_g, data_g, gamma_g, a_h, data_h, gamma_h) -> np.ndarray:
-    """product_adjacency's matrix S_g (x) S_h - gamma_g*gamma_h*I, S = A + gamma*I, by broadcasting."""
+    """Strong-product matrix S_g (x) S_h - gamma_g*gamma_h*I, S = A + gamma*I, by broadcasting.
+
+    It vanishes off the product's edges; its eigenvalues are (mu + gamma_g)(nu + gamma_h)
+    - gamma_g*gamma_h. Each gamma must avoid the band where its shifted factor is indefinite.
+    """
     _check_shift("gamma_g", data_g, gamma_g)
     _check_shift("gamma_h", data_h, gamma_h)
     s_g, s_h = a_g + gamma_g * np.eye(len(a_g)), a_h + gamma_h * np.eye(len(a_h))
@@ -282,9 +233,7 @@ def _product_spectrum(data_g, gamma_g, data_h, gamma_h) -> spectral.SpectralData
     order = np.argsort(vals, kind="stable")
     u, v, n = data_g.eigenvectors, data_h.eigenvectors, len(vals)
     vecs = (u[:, None, :, None] * v[None, :, None, :]).reshape(n, n)[:, order]
-    data = spectral.SpectralData(vals[order], vecs, (), float(np.linalg.norm(vals)))
-    object.__setattr__(data, "clusters", spectral.cluster_weights(data))
-    return data
+    return spectral.SpectralData(vals[order], vecs, float(np.linalg.norm(vals)))
 
 
 def _walk_value(m: np.ndarray, x: float) -> float:

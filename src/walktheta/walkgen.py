@@ -19,7 +19,6 @@ from .reciprocal import POLE_TOL, IntervalMin, ReciprocalSum
 __all__ = [
     "IntervalMin",
     "minimize",
-    "minimize_on_spectral_interval",
     "sample",
 ]
 
@@ -46,11 +45,6 @@ def minimize(data: spectral.SpectralData, lo: float = -math.inf, hi: float = mat
         x0 = min(max(0.0, lo), hi)
         return IntervalMin(x0, fn.n_total, False, 0.0)
     return fn.minimize(lo, hi)
-
-
-def minimize_on_spectral_interval(a: np.ndarray) -> IntervalMin:
-    """Global minimum of the walk-generating function on [1/lam_min, 1/lam_max]."""
-    return minimize(spectral.eig_sym(a))
 
 
 def sample(fn: ReciprocalSum, lo: float, hi: float, k: int) -> list:

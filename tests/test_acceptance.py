@@ -22,15 +22,15 @@ from walktheta.reciprocal import (
     has_critical_points,
     verify_duality,
 )
+from walktheta.spectral import eig_sym
 from walktheta.theta import (
     RESIDUAL_TOL,
-    WeightedAdjacency,
+    _shifted_product,
     extract_optimizer,
     minimize_theta,
-    product_adjacency,
     submultiplicativity_check,
 )
-from walktheta.walkgen import minimize_on_spectral_interval
+from walktheta.walkgen import minimize
 
 SQRT5 = math.sqrt(5.0)
 
@@ -120,7 +120,7 @@ def test_criterion_06_scaling_duality():
         for _ in range(100):
             a = random_weighted_matrix(rng, n_min=3, n_max=10)
             _, scaled = reference_optimal_scaling(a)
-            direct = minimize_on_spectral_interval(a).value
+            direct = minimize(eig_sym(a)).value
             assert abs(scaled - direct) <= 1e-6
 
 
@@ -135,7 +135,7 @@ def test_criterion_07_optimizer_certificates():
             norm_a = float(np.linalg.norm(a))
             assert cert.residual_orth <= RESIDUAL_TOL * max(1.0, norm_a) * scale
             assert cert.residual_sphere <= RESIDUAL_TOL * scale
-            assert abs(cert.norm_sq - minimize_on_spectral_interval(a).value) <= 1e-6
+            assert abs(cert.norm_sq - minimize(eig_sym(a)).value) <= 1e-6
 
 
 def test_criterion_08_theta_sandwich_closures():
@@ -190,10 +190,11 @@ def test_criterion_09_submultiplicativity():
         c5 = fixtures["C5"]
         product = strong_product(c5, c5)
         assert independence_number(product) == 5
-        x_star = minimize_on_spectral_interval(adjacency(c5)).x_star
-        wa = WeightedAdjacency.unweighted(c5)
-        seed = product_adjacency(wa, wa, -1.0 / x_star, -1.0 / x_star)
-        est = minimize_theta(product, init_weights=seed.weights, max_iter=250)
+        a = adjacency(c5)
+        data = eig_sym(a)
+        gamma = -1.0 / minimize(data).x_star
+        seed = _shifted_product(a, data, gamma, a, data, gamma)[product.rows, product.cols]
+        est = minimize_theta(product, init_weights=seed, max_iter=250)
         assert est.upper == pytest.approx(5.0, abs=1e-2)
 
 

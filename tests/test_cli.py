@@ -10,7 +10,8 @@ import pytest
 
 from walktheta import cli, reciprocal, theta
 from walktheta.cli import main
-from walktheta.graphs import encode_graph6, generate_named
+from walktheta.corpus import fixture_graphs, random_weighted
+from walktheta.graphs import adjacency, encode_graph6, generate_named
 
 
 def run_cli(capsys, *argv):
@@ -124,13 +125,29 @@ def test_verify_scaling_rejects_a_non_minimiser(capsys, monkeypatch):
     real = theta.optimal_scaling
 
     def off_by_one_percent(a):
-        t, value = real(a)
-        return 1.01 * t, value
+        t, value, walk_min = real(a)
+        return 1.01 * t, value, walk_min
 
     monkeypatch.setattr(theta, "optimal_scaling", off_by_one_percent)
     code, out, _ = run_cli(capsys, "verify", "scaling", "--random", "10")
     assert code == 1
     assert not json.loads(out.splitlines()[-1])["ok"]
+
+
+def test_verify_scaling_and_optimizer_decompose_each_matrix_once(capsys, eig_calls):
+    """The walk minimum comes from the suite's own decomposition, not a second one."""
+    rng = np.random.default_rng(4)
+    weighted = [random_weighted(rng) for _ in range(10)]
+    assert run_cli(capsys, "verify", "scaling", "--random", "10", "--seed", "4")[0] == 0
+    assert len(eig_calls) == 10
+    assert all(np.array_equal(m, a) for m, a in zip(eig_calls, weighted))
+    eig_calls.clear()
+    fixtures = fixture_graphs()
+    assert [name for name, g in fixtures if not g.edges] == ["K1", "empty3", "empty6"]
+    nonzero = [adjacency(g) for _, g in fixtures if g.edges] + weighted
+    assert run_cli(capsys, "verify", "optimizer", "--random", "10", "--seed", "4")[0] == 0
+    assert len(eig_calls) == len(nonzero) == 21
+    assert all(np.array_equal(m, a) for m, a in zip(eig_calls, nonzero))
 
 
 def test_verify_product(capsys):
@@ -218,6 +235,15 @@ def test_plot_golomb_curve(capsys):
         if y_str and lo <= float(x_str) <= hi:
             values.append(float(y_str))
     assert min(values) == pytest.approx(4.744, abs=1e-3)
+
+
+@pytest.mark.parametrize("window", [["--lo", "1", "--hi", "0"], ["--lo", "nan"],
+                                    ["--lo", "0.1", "--hi", "0.1"], ["--hi", "inf"]])
+def test_plot_rejects_an_empty_or_infinite_window(capsys, window):
+    code, out, err = run_cli(capsys, "plot", "--named", "cycle", "--n", "5", *window)
+    assert code == 2
+    assert out == ""
+    assert "--lo < --hi" in err
 
 
 def test_plot_rejects_multi_graph_input(capsys, tmp_path):
@@ -350,6 +376,13 @@ def test_verify_negative_random_is_usage_error(capsys):
     code, out, _ = run_cli(capsys, "verify", "duality", "--random", "0")
     assert code == 0
     assert json.loads(out) == {"passed": 0, "total": 0, "ok": True}
+
+
+def test_verify_negative_seed_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "duality", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err
 
 
 @pytest.mark.parametrize("max_iter", ["0", "-1"])

@@ -5,22 +5,19 @@ import numpy as np
 import pytest
 
 from conftest import plain_alpha, random_weighted_matrix, reference_optimal_scaling
-from walktheta import cli, independent_set, spectral, theta, walkgen
+from walktheta import cli, graphs, independent_set, spectral, theta, walkgen
 from walktheta.graphs import Graph, adjacency, generate_named, strong_product
 from walktheta.independent_set import independence_number, max_independent_set
 from walktheta.spectral import eig_sym
 from walktheta.theta import (
     RESIDUAL_TOL,
-    WeightedAdjacency,
     _subgradient,
     _top_cluster,
     extract_optimizer,
     minimize_theta,
     optimal_scaling,
-    product_adjacency,
     submultiplicativity_check,
 )
-from walktheta.walkgen import minimize_on_spectral_interval
 
 SQRT5 = math.sqrt(5.0)
 # the factor pairs of `walktheta verify product`
@@ -52,7 +49,7 @@ def test_max_independent_set_is_independent():
 
 def penalized(g: Graph, weights) -> np.ndarray:
     """J - A(weights); its spectrum is taken by plain numpy, the oracle of the solver's values."""
-    return np.ones((g.n, g.n)) - WeightedAdjacency(g, tuple(weights)).matrix()
+    return np.ones((g.n, g.n)) - adjacency(g, weights)
 
 
 def test_lambda_max_all_zero_weights():
@@ -158,10 +155,9 @@ def test_subgradient_equals_per_edge_reference():
     cases.append((generate_named("petersen"), np.full(15, 2.0), 5))
     cases.append((generate_named("complete", n=12), np.ones(66), 12))
     for g, weights, mult in cases:
-        wa = WeightedAdjacency(g, tuple(weights))
         b, value, grad, width = reference_gradient(g, weights)
         assert width == mult
-        assert np.array_equal(np.ones((g.n, g.n)) - wa.matrix(), b)
+        assert np.array_equal(np.ones((g.n, g.n)) - adjacency(g, weights), b)
         got_value, got_grad = _subgradient(g.rows, g.cols, b)
         assert got_value == value
         assert np.array_equal(got_grad, grad)
@@ -187,20 +183,21 @@ def test_minimize_theta_keeps_residual_check(monkeypatch):
 
 def test_optimal_scaling_c5():
     a = adjacency(generate_named("cycle", n=5))
-    t, value = optimal_scaling(a)
+    t, value, walk_min = optimal_scaling(a)
     assert value == pytest.approx(SQRT5, abs=1e-6)
-    assert value == pytest.approx(minimize_on_spectral_interval(a).value, abs=1e-6)
+    assert value == pytest.approx(walk_min, abs=1e-6)
+    assert walk_min == walkgen.minimize(eig_sym(a)).value
 
 
 def test_optimal_scaling_p17():
     a = adjacency(generate_named("path", n=17))
-    _, value = optimal_scaling(a)
+    _, value, _ = optimal_scaling(a)
     assert value == pytest.approx(9.0, abs=1e-6)
 
 
 def test_optimal_scaling_k2():
     a = adjacency(generate_named("complete", n=2))
-    t, value = optimal_scaling(a)
+    t, value, _ = optimal_scaling(a)
     assert t == pytest.approx(1.0, abs=1e-6)
     assert value == pytest.approx(1.0, abs=1e-9)
 
@@ -214,8 +211,7 @@ def test_scaling_duality_random():
     rng = np.random.default_rng(31)
     for _ in range(25):
         a = random_weighted_matrix(rng)
-        _, scaled = optimal_scaling(a)
-        direct = minimize_on_spectral_interval(a).value
+        _, scaled, direct = optimal_scaling(a)
         assert abs(scaled - direct) <= 1e-6
         _, searched = reference_optimal_scaling(a)
         assert abs(scaled - searched) <= 1e-9 * abs(searched)
@@ -230,7 +226,7 @@ def test_optimal_scaling_known_theta(family, n):
         g, theta_known = generate_named("cycle", n=n), n * c / (1.0 + c)
     else:
         g, theta_known = generate_named("kneser", n=n, k=2), float(n - 1)
-    _, value = optimal_scaling(adjacency(g))
+    _, value, _ = optimal_scaling(adjacency(g))
     assert abs(value - theta_known) <= 1e-13 * theta_known
 
 
@@ -242,6 +238,7 @@ def test_extract_optimizer_zero_matrix():
     assert cert.norm_sq == 4.0
     assert cert.residual_orth == 0.0
     assert cert.residual_sphere == 0.0
+    assert cert.walk_min == 4.0
 
 
 def test_extract_optimizer_p17_interior():
@@ -266,7 +263,8 @@ def certify(a: np.ndarray) -> None:
     norm_a = float(np.linalg.norm(a))
     assert cert.residual_orth <= RESIDUAL_TOL * max(1.0, norm_a) * scale
     assert cert.residual_sphere <= RESIDUAL_TOL * scale
-    assert abs(cert.norm_sq - minimize_on_spectral_interval(a).value) <= 1e-6
+    assert cert.walk_min == walkgen.minimize(eig_sym(a)).value
+    assert abs(cert.norm_sq - cert.walk_min) <= 1e-6
 
 
 def test_extract_optimizer_corpus_and_random(corpus):
@@ -279,17 +277,22 @@ def test_extract_optimizer_corpus_and_random(corpus):
 
 # --- strong-product machinery ---
 
+def shifted_product(a_g, a_h, gamma_g, gamma_h) -> np.ndarray:
+    """`theta._shifted_product` of two factor matrices, each decomposed here."""
+    return theta._shifted_product(a_g, eig_sym(a_g), gamma_g, a_h, eig_sym(a_h), gamma_h)
+
+
 def test_product_adjacency_zero_factors():
-    e2 = WeightedAdjacency.unweighted(generate_named("empty", n=2))
-    e3 = WeightedAdjacency.unweighted(generate_named("empty", n=3))
-    p = product_adjacency(e2, e3, 2.5, -1.5)
-    assert not p.matrix().any()
+    e2 = adjacency(generate_named("empty", n=2))
+    e3 = adjacency(generate_named("empty", n=3))
+    m = shifted_product(e2, e3, 2.5, -1.5)
+    assert m.shape == (6, 6) and not m.any()
 
 
 def test_product_adjacency_k2_eigenvalues():
-    k2 = WeightedAdjacency.unweighted(generate_named("complete", n=2))
-    p = product_adjacency(k2, k2, 1.0, 1.0)
-    eigs = sorted(np.linalg.eigvalsh(p.matrix()))
+    k2 = adjacency(generate_named("complete", n=2))
+    m = shifted_product(k2, k2, 1.0, 1.0)
+    eigs = sorted(np.linalg.eigvalsh(m))
     assert eigs == pytest.approx([-1.0, -1.0, -1.0, 3.0])
 
 
@@ -297,14 +300,13 @@ def test_product_adjacency_structure_random_weights():
     rng = np.random.default_rng(13)
     g = generate_named("cycle", n=5)
     h = generate_named("path", n=4)
-    wa_g = WeightedAdjacency(g, tuple(rng.uniform(0.5, 1.5, size=5)))
-    wa_h = WeightedAdjacency(h, tuple(rng.uniform(0.5, 1.5, size=3)))
-    lam_g = np.linalg.eigvalsh(wa_g.matrix())
-    lam_h = np.linalg.eigvalsh(wa_h.matrix())
+    a_g = adjacency(g, rng.uniform(0.5, 1.5, size=5))
+    a_h = adjacency(h, rng.uniform(0.5, 1.5, size=3))
+    lam_g = np.linalg.eigvalsh(a_g)
+    lam_h = np.linalg.eigvalsh(a_h)
     gamma_g = -float(lam_g[0]) + 0.7
     gamma_h = -float(lam_h[0]) + 0.3
-    p = product_adjacency(wa_g, wa_h, gamma_g, gamma_h)
-    m = p.matrix()
+    m = shifted_product(a_g, a_h, gamma_g, gamma_h)
     assert not np.diag(m).any()
     support = strong_product(g, h).edges
     nz = {(i, j) for i in range(20) for j in range(i + 1, 20) if m[i, j] != 0.0}
@@ -318,9 +320,9 @@ def test_product_adjacency_structure_random_weights():
 
 
 def test_product_adjacency_forbidden_band():
-    k2 = WeightedAdjacency.unweighted(generate_named("complete", n=2))
+    k2 = adjacency(generate_named("complete", n=2))
     with pytest.raises(ValueError, match="forbidden band"):
-        product_adjacency(k2, k2, 0.0, 1.0)
+        shifted_product(k2, k2, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("na,nb", [
@@ -330,18 +332,17 @@ def test_product_adjacency_forbidden_band():
 def test_product_eigenvalue_formula_on_fixture_pairs(corpus, na, nb):
     graphs = dict(corpus)
     g, h = graphs[na], graphs[nb]
-    wa_g = WeightedAdjacency.unweighted(g)
-    wa_h = WeightedAdjacency.unweighted(h)
-    lam_g = np.linalg.eigvalsh(wa_g.matrix()) if g.n else np.zeros(0)
-    lam_h = np.linalg.eigvalsh(wa_h.matrix()) if h.n else np.zeros(0)
+    a_g, a_h = adjacency(g), adjacency(h)
+    lam_g = np.linalg.eigvalsh(a_g) if g.n else np.zeros(0)
+    lam_h = np.linalg.eigvalsh(a_h) if h.n else np.zeros(0)
     gamma_g = -float(lam_g[0]) + 0.5
     gamma_h = -float(lam_h[0]) + 1.25
-    p = product_adjacency(wa_g, wa_h, gamma_g, gamma_h)
+    m = shifted_product(a_g, a_h, gamma_g, gamma_h)
     expected = sorted(
         (mu + gamma_g) * (nu + gamma_h) - gamma_g * gamma_h
         for mu in lam_g for nu in lam_h
     )
-    assert np.allclose(sorted(np.linalg.eigvalsh(p.matrix())), expected, atol=1e-8)
+    assert np.allclose(sorted(np.linalg.eigvalsh(m)), expected, atol=1e-8)
 
 
 def test_submultiplicativity_fixtures():
@@ -362,11 +363,11 @@ def test_theta_estimate_c5_product_sandwich():
     product = strong_product(c5, c5)
     assert independence_number(product) == 5
     # seed the weights through the product construction at the factor optimum
-    x_star = minimize_on_spectral_interval(adjacency(c5)).x_star
-    gamma = -1.0 / x_star
-    wa = WeightedAdjacency.unweighted(c5)
-    seed = product_adjacency(wa, wa, gamma, gamma)
-    est = minimize_theta(product, init_weights=seed.weights, max_iter=250)
+    a = adjacency(c5)
+    data = eig_sym(a)
+    gamma = -1.0 / walkgen.minimize(data).x_star
+    seed = theta._shifted_product(a, data, gamma, a, data, gamma)[product.rows, product.cols]
+    est = minimize_theta(product, init_weights=seed, max_iter=250)
     assert est.upper == pytest.approx(5.0, abs=1e-2)
     assert est.upper >= 5.0 - 1e-7
 
@@ -395,8 +396,8 @@ def test_submultiplicativity_decomposes_each_factor_once(eig_calls):
 def test_submultiplicativity_builds_product_graph_once(monkeypatch):
     """Not even once: the shifted products are built without the product's `Graph`."""
     built = []
-    real = theta.strong_product
-    monkeypatch.setattr(theta, "strong_product", lambda g, h: built.append(1) or real(g, h))
+    real = graphs.strong_product
+    monkeypatch.setattr(graphs, "strong_product", lambda g, h: built.append(1) or real(g, h))
     submultiplicativity_check(generate_named("cycle", n=5), generate_named("path", n=3),
                               grid=4, n_random=5)
     assert len(built) == 0
@@ -432,7 +433,7 @@ def test_product_spectrum_is_checked_against_the_product_matrix(monkeypatch):
     def perturbed(data_g, gamma_g, data_h, gamma_h):
         data = real(data_g, gamma_g, data_h, gamma_h)
         shifted = data.eigenvalues + 1e-4 * data.norm   # 1e-8 * norm * n is allowed
-        return spectral.SpectralData(shifted, data.eigenvectors, data.clusters, data.norm)
+        return spectral.SpectralData(shifted, data.eigenvectors, data.norm)
 
     monkeypatch.setattr(theta, "_product_spectrum", perturbed)
     c5 = generate_named("cycle", n=5)
@@ -452,7 +453,7 @@ def reference_shifted_product(a_g, gamma_g, a_h, gamma_h, product: Graph) -> np.
     ng, nh = len(a_g), len(a_h)
     m = np.kron(a_g + gamma_g * np.eye(ng), a_h + gamma_h * np.eye(nh))
     m -= gamma_g * gamma_h * np.eye(ng * nh)
-    return theta._weight_matrix(product, m[product.rows, product.cols])
+    return adjacency(product, m[product.rows, product.cols])
 
 
 def assert_shifted_product_matches_reference(g, h, a_g, a_h, gamma_pairs):
@@ -489,8 +490,8 @@ def test_shifted_product_equals_masked_kron_on_weighted_factors(corpus):
 
     for na, nb in VERIFY_PRODUCT_PAIRS:
         g, h = graphs[na], graphs[nb]
-        a_g = theta._weight_matrix(g, rng.uniform(-1.5, 1.5, size=g.num_edges))
-        a_h = theta._weight_matrix(h, rng.uniform(-1.5, 1.5, size=h.num_edges))
+        a_g = adjacency(g, rng.uniform(-1.5, 1.5, size=g.num_edges))
+        a_h = adjacency(h, rng.uniform(-1.5, 1.5, size=h.num_edges))
         assert_shifted_product_matches_reference(g, h, a_g, a_h, sampled)
 
 

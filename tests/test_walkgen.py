@@ -7,7 +7,7 @@ from conftest import random_weighted_matrix
 from walktheta.graphs import adjacency, generate_named
 from walktheta.reciprocal import PoleProximityError, ReciprocalSum
 from walktheta.spectral import eig_sym
-from walktheta.walkgen import minimize, minimize_on_spectral_interval, sample
+from walktheta.walkgen import minimize, sample
 
 SQRT5 = math.sqrt(5.0)
 
@@ -51,7 +51,7 @@ def test_value_near_pole_raises():
 
 def test_golomb_interior_minimum_value():
     a = adjacency(generate_named("golomb"))
-    opt = minimize_on_spectral_interval(a)
+    opt = minimize(eig_sym(a))
     assert opt.value == pytest.approx(4.744, abs=1e-3)
     assert not opt.at_endpoint
     fn = ReciprocalSum.from_spectral(eig_sym(a))
@@ -61,14 +61,14 @@ def test_golomb_interior_minimum_value():
 def test_minimize_regular_hits_left_endpoint():
     a = adjacency(generate_named("cycle", n=5))
     data = eig_sym(a)
-    opt = minimize_on_spectral_interval(a)
+    opt = minimize(data)
     assert opt.at_endpoint
     assert opt.x_star == pytest.approx(1.0 / data.lam_min)
     assert opt.value == pytest.approx(SQRT5, abs=1e-12)
 
 
 def test_minimize_zero_matrix_sentinel():
-    opt = minimize_on_spectral_interval(np.zeros((7, 7)))
+    opt = minimize(eig_sym(np.zeros((7, 7))))
     assert opt.value == 7.0
     assert math.isinf(opt.x_star)
 
@@ -121,7 +121,7 @@ def test_minimum_dominates_kernel_weight(corpus):
         a = adjacency(g)
         data = eig_sym(a)
         kernel = sum(w for rep, w in data.clusters if abs(rep) < 1e-7)
-        opt = minimize_on_spectral_interval(a)
+        opt = minimize(data)
         assert opt.value >= kernel - 1e-8, name
         assert opt.value >= 0.0
 
