@@ -12,9 +12,9 @@ from .graphs import (
     parse_graph6,
     strong_product,
 )
-from .spectral import SpectralData, cluster_weights, eig_sym
 from .reciprocal import (
     CriticalReport,
+    IntervalMin,
     PoleProximityError,
     ReciprocalSum,
     central_strip,
@@ -22,7 +22,7 @@ from .reciprocal import (
     has_critical_points,
     verify_duality,
 )
-from .walkgen import IntervalMin, sample
+from .spectral import SpectralData, cluster_weights, eig_sym, walk_minimum
 from .bounds import BoundReport, laplacian_bound, report
 from .independent_set import independence_number, max_independent_set
 from .theta import (

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import spectral, walkgen
+from . import spectral
 from .graphs import Graph, adjacency, laplacian, min_degree
 
 __all__ = ["BoundReport", "laplacian_bound", "report"]
@@ -48,17 +48,12 @@ def _hoffman(data: spectral.SpectralData) -> float:
     return float(-data.lam_min * data.n / (data.lam_max - data.lam_min))
 
 
-def _walkgen(data: spectral.SpectralData) -> float:
-    return walkgen.minimize(data, hi=0.0).value
-
-
 def _closed_form(data: spectral.SpectralData) -> tuple:
     n = data.n
     lam1, lamn = data.lam_max, data.lam_min
-    w1 = 0.0
-    for rep, weight in data.clusters:
-        if abs(rep - lam1) <= spectral.TOL_CLUSTER * max(1.0, abs(lam1)):
-            w1 = weight
+    # cluster cuts are wider than this tolerance: only the top cluster can match lam1
+    rates, weights = data.walk.rates, data.walk.weights
+    w1 = weights[-1] if abs(rates[-1] - lam1) <= spectral.TOL_CLUSTER * max(1.0, abs(lam1)) else 0.0
     if w1 <= 0.0:
         return None, False
     excess = max(0.0, n - w1)
@@ -91,7 +86,7 @@ def report(g: Graph, known_alpha: int = None) -> BoundReport:
     """
     if g.edges:
         data = spectral.eig_sym(adjacency(g))
-        wg = _walkgen(data)
+        wg = spectral.walk_minimum(data, hi=0.0).value
         hoff = _hoffman(data) if g.is_regular() else None
         cf_value, cf_condition = _closed_form(data)
     else:

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
 
 import numpy as np
 
-from . import bounds, reciprocal, spectral, theta, walkgen
+from . import bounds, reciprocal, spectral, theta
 from .corpus import fixture_graphs, random_graph, random_instance, random_weighted
 from .graphs import (
     Graph6ParseError,
@@ -106,6 +107,8 @@ def cmd_bounds(args) -> int:
 def cmd_theta(args) -> int:
     if args.max_iter < 1:
         raise InputError(f"--max-iter must be at least 1, got {args.max_iter}")
+    if not 0.0 <= args.tol < math.inf:
+        raise InputError(f"--tol must be finite and at least 0, got {args.tol}")
     graphs = _read_graphs(args)
     with _output(args) as write:
         for g in graphs:
@@ -231,7 +234,6 @@ def cmd_plot(args) -> int:
         raise InputError("plot needs --samples of at least 2")
     g = graphs[0]
     data = spectral.eig_sym(adjacency(g))
-    fn = reciprocal.ReciprocalSum.from_spectral(data)
     lines = []
     if g.edges:
         lo_mark, hi_mark = 1.0 / data.lam_min, 1.0 / data.lam_max
@@ -245,11 +247,9 @@ def cmd_plot(args) -> int:
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InputError(f"plot needs finite --lo < --hi, got [{lo:.12g}, {hi:.12g}]")
     lines.append("x,W")
-    for x, value in walkgen.sample(fn, lo, hi, args.samples):
-        if value is None:
-            lines.append("%.12g," % x)
-        else:
-            lines.append("%.12g,%.12g" % (x, value))
+    for x in np.linspace(lo, hi, args.samples).tolist():
+        # points at poles are blank
+        lines.append("%.12g," % x if data.walk.near_pole(x) else "%.12g,%.12g" % (x, data.walk.value(x)))
     with _output(args) as write:
         for line in lines:
             write(line)

@@ -229,38 +229,30 @@ def _gen_kneser(n: int, k: int) -> Graph:
     return Graph(len(subsets), frozenset(edges))
 
 
-NAMED_GRAPHS = ("empty", "complete", "cycle", "path", "petersen", "golomb", "kneser")
+# name -> (generator, the parameters it takes, in call order)
+_FAMILIES = {
+    "empty": (_gen_empty, "n"), "complete": (_gen_complete, "n"), "cycle": (_gen_cycle, "n"),
+    "path": (_gen_path, "n"), "petersen": (_gen_petersen, ""), "golomb": (_gen_golomb, ""),
+    "kneser": (_gen_kneser, "nk"),
+}
+NAMED_GRAPHS = tuple(_FAMILIES)
 
 
 def generate_named(name: str, n: int = None, k: int = None) -> Graph:
-    """Build a canonical labeled instance of a named graph family."""
-    if name == "empty":
-        _require_n(name, n)
-        return _gen_empty(n)
-    if name == "complete":
-        _require_n(name, n)
-        return _gen_complete(n)
-    if name == "cycle":
-        _require_n(name, n)
-        return _gen_cycle(n)
-    if name == "path":
-        _require_n(name, n)
-        return _gen_path(n)
-    if name == "petersen":
-        return _gen_petersen()
-    if name == "golomb":
-        return _gen_golomb()
-    if name == "kneser":
-        _require_n(name, n)
-        if k is None:
-            raise ValueError("kneser needs parameter k")
-        return _gen_kneser(n, k)
-    raise ValueError(f"unknown graph name {name!r}; expected one of {NAMED_GRAPHS}")
+    """Build a canonical labeled instance of a named graph family from the parameters it takes.
 
-
-def _require_n(name: str, n) -> None:
-    if n is None:
-        raise ValueError(f"{name} needs parameter n")
+    A parameter the family takes but is not given, or is given but does not take, is a ValueError.
+    """
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown graph name {name!r}; expected one of {NAMED_GRAPHS}")
+    gen, takes = _FAMILIES[name]
+    given = {"n": n, "k": k}
+    for param, value in given.items():
+        if value is None and param in takes:
+            raise ValueError(f"{name} needs parameter {param}")
+        if value is not None and param not in takes:
+            raise ValueError(f"{name} takes no parameter {param}")
+    return gen(*(given[p] for p in takes))
 
 
 def adjacency(g: Graph, weights=1.0) -> np.ndarray:

@@ -1,14 +1,14 @@
 """Positive-weight sums of linear reciprocals and their critical points.
 
 `ReciprocalSum` is f(x) = sum(w_i / (1 - b_i x)) with w_i > 0. Built from a
-symmetric matrix's eigenvalue clusters it is the walk-generating function
-<1, (I - xA)^-1 1>. Such sums have at most 2(N - 1) critical points; when
-the pole rates carry both signs, the critical point with the largest
-f-value is the unique minimum of f on the central strip between the extreme
-reciprocal poles.
+symmetric matrix's eigenvalue clusters (`spectral.SpectralData.walk`) it is
+the walk-generating function <1, (I - xA)^-1 1>. Such sums have at most
+2(N - 1) critical points; when the pole rates carry both signs, the critical
+point with the largest f-value is the unique minimum of f on the central
+strip between the extreme reciprocal poles.
 
 `ReciprocalSum.minimize(lo, hi)` is the one interval minimiser, for the
-walk bounds (via `walkgen.minimize`), the theta polish and the duality
+walk bounds (via `spectral.walk_minimum`), the theta polish and the duality
 strip. It and the critical-point enumerator, which brackets each root of
 f' by certified interval halving, share one root search on the
 derivative, `_root`: safeguarded Newton steps inside a sign bracket.
@@ -93,12 +93,6 @@ class ReciprocalSum:
         object.__setattr__(self, "rates", rates)
         object.__setattr__(self, "poles", tuple(sorted([1.0 / b for b in rates if b])))
         object.__setattr__(self, "_slopes", tuple(map(mul, weights, rates)))
-
-    @classmethod
-    def from_spectral(cls, data) -> "ReciprocalSum":
-        """Walk-generating function of a decomposed symmetric matrix (`spectral.SpectralData`)."""
-        rates, weights = zip(*data.clusters) if data.clusters else ((), ())
-        return cls(weights, rates, float(data.n))
 
     def near_pole(self, x: float, tol: float = POLE_TOL) -> bool:
         """True when x lies within tol * (1 + |x|) of a pole."""

@@ -1,12 +1,15 @@
-"""Dense symmetric eigendecomposition and all-ones projection weights."""
+"""Dense symmetric eigendecomposition and the walk-generating function W_A(x) = <1, (I - xA)^-1 1>."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SpectralData", "eigh_checked", "check_eigenpairs", "eig_sym", "cluster_weights"]
+from .reciprocal import IntervalMin, ReciprocalSum
+
+__all__ = ["SpectralData", "eigh_checked", "check_eigenpairs", "eig_sym", "cluster_weights", "walk_minimum"]
 
 # Relative tolerances: eigensolver residual, eigenvalue clustering, the
 # threshold below which a cluster's all-ones weight counts as exactly zero,
@@ -15,27 +18,30 @@ TOL_EIG = 1e-10
 TOL_CLUSTER = 1e-7
 TOL_WEIGHT = 1e-9
 TOL_ZERO = float(np.finfo(float).eps)
+# A matrix with Frobenius norm at or below this is treated as zero, which by
+# convention makes the interval minimum equal n with an infinite sentinel x.
+ZERO_NORM = 1e-12
 
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues (ascending), orthonormal eigenvector columns, weight clusters and norm.
+    """Eigenvalues (ascending), orthonormal eigenvector columns, norm and walk-generating function.
 
-    Each cluster is a pair (representative eigenvalue, summed squared overlap
-    of the all-ones vector with the cluster's eigenvectors), computed on
-    construction by `cluster_weights`. Clusters whose weight vanishes
-    numerically are dropped, so the surviving weights are strictly positive
-    and sum to n up to roundoff. `norm` is the Frobenius norm of the
-    decomposed matrix.
+    `walk`, computed on construction by `cluster_weights`, has one term per
+    eigenvalue cluster: its rate is the cluster's representative eigenvalue,
+    its weight the summed squared overlap of the all-ones vector with the
+    cluster's eigenvectors. Clusters whose weight vanishes numerically are
+    dropped, so the surviving weights are strictly positive and sum to n up
+    to roundoff. `norm` is the Frobenius norm of the decomposed matrix.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     norm: float
-    clusters: tuple = field(init=False)
+    walk: ReciprocalSum = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "clusters", cluster_weights(self))
+        object.__setattr__(self, "walk", cluster_weights(self))
 
     @property
     def n(self) -> int:
@@ -80,12 +86,12 @@ def check_eigenpairs(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float
 
 
 def eig_sym(m: np.ndarray) -> SpectralData:
-    """Full eigendecomposition of a symmetric matrix, with weight clusters attached."""
+    """Full eigendecomposition of a symmetric matrix, with its walk-generating function attached."""
     return SpectralData(*eigh_checked(m))
 
 
-def cluster_weights(data: SpectralData) -> tuple:
-    """Merge near-equal eigenvalues and sum the all-ones overlaps per cluster.
+def cluster_weights(data: SpectralData) -> ReciprocalSum:
+    """Walk-generating function: merge near-equal eigenvalues and sum the all-ones overlaps per cluster.
 
     Zero-weight clusters are dropped: the corresponding reciprocal poles are
     removable and must not appear downstream. A representative within
@@ -95,7 +101,7 @@ def cluster_weights(data: SpectralData) -> tuple:
     vals = data.eigenvalues
     n = len(vals)
     if n == 0:
-        return ()
+        return ReciprocalSum((), (), 0.0)
     scale = max(1.0, float(np.linalg.norm(vals)))
     tol_cluster = TOL_CLUSTER * scale
     tol_zero = TOL_ZERO * n * scale
@@ -103,7 +109,7 @@ def cluster_weights(data: SpectralData) -> tuple:
     overlaps = (np.ones(n) @ data.eigenvectors) ** 2
     cuts = [0, *(np.flatnonzero(np.diff(vals) > tol_cluster) + 1).tolist(), n]
     val_list, overlap_list = vals.tolist(), overlaps.tolist()
-    clusters = []
+    rates, weights = [], []
     for start, stop in zip(cuts, cuts[1:]):
         if stop - start == 1:
             # equal to np.mean/np.sum of the slice; longer clusters keep those
@@ -113,5 +119,25 @@ def cluster_weights(data: SpectralData) -> tuple:
             weight = float(np.sum(overlaps[start:stop]))
             rep = float(np.mean(vals[start:stop]))
         if weight > tol_weight:
-            clusters.append((0.0 if abs(rep) <= tol_zero else rep, weight))
-    return tuple(clusters)
+            rates.append(0.0 if abs(rep) <= tol_zero else rep)
+            weights.append(weight)
+    return ReciprocalSum(weights, rates, float(n))
+
+
+def walk_minimum(data: SpectralData, lo: float = -math.inf, hi: float = math.inf) -> IntervalMin:
+    """Minimum of `data.walk` on [lo, hi], clipped to the spectral interval [1/lam_min, 1/lam_max].
+
+    The function is convex there, and endpoints sitting on poles are +inf
+    walls. A numerically zero matrix yields value n at the infinite sentinel x.
+    """
+    if data.norm <= ZERO_NORM:
+        return IntervalMin(math.inf, float(data.n), False, 0.0)
+    lo = max(lo, 1.0 / data.lam_min)
+    hi = min(hi, 1.0 / data.lam_max)
+    if lo > hi:
+        raise ValueError(f"empty interval [{lo}, {hi}]")
+    fn = data.walk
+    if all(b == 0.0 for b in fn.rates):
+        x0 = min(max(0.0, lo), hi)
+        return IntervalMin(x0, fn.n_total, False, 0.0)
+    return fn.minimize(lo, hi)

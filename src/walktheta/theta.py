@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral, walkgen
+from . import spectral
 from .graphs import Graph, adjacency
-from .reciprocal import ReciprocalSum
 
 __all__ = [
     "ThetaEstimate",
@@ -128,7 +127,7 @@ def minimize_theta(
     w_init = np.ones(m) if init_weights is None else np.asarray(init_weights, dtype=float)
     rays = [best_w] if np.allclose(w_init, best_w) else [best_w, w_init]
     for ray in rays:
-        if np.linalg.norm(ray) <= walkgen.ZERO_NORM:
+        if np.linalg.norm(ray) <= spectral.ZERO_NORM:
             continue
         t, value, _ = optimal_scaling(adjacency(g, ray))
         if value < best_val:
@@ -153,9 +152,9 @@ def optimal_scaling(a: np.ndarray) -> tuple:
     """
     a = np.asarray(a, dtype=float)
     data = spectral.eig_sym(a)
-    if data.norm <= walkgen.ZERO_NORM:
+    if data.norm <= spectral.ZERO_NORM:
         raise ValueError("optimal scaling needs a nonzero matrix")
-    opt = walkgen.minimize(data)
+    opt = spectral.walk_minimum(data)
     t = -opt.x_star * opt.value
     return float(t), float(np.linalg.eigvalsh(np.ones(a.shape) - t * a)[-1]), float(opt.value)
 
@@ -169,10 +168,10 @@ def extract_optimizer(a: np.ndarray) -> OptimizerVector:
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    if float(np.linalg.norm(a)) <= walkgen.ZERO_NORM:
+    if float(np.linalg.norm(a)) <= spectral.ZERO_NORM:
         return _certify(np.ones(n), a, float(n))
     data = spectral.eig_sym(a)
-    opt = walkgen.minimize(data)
+    opt = spectral.walk_minimum(data)
     y = opt.x_star
     if not opt.at_endpoint:
         v = np.linalg.solve(np.eye(n) - y * a, np.ones(n))
@@ -243,7 +242,7 @@ def _walk_value(m: np.ndarray, x: float) -> float:
 
 def _valid_gamma_samples(data: spectral.SpectralData, k: int, rng: np.random.Generator = None):
     """Gammas of the form -1/x for x inside the spectral interval (always valid)."""
-    if data.norm <= walkgen.ZERO_NORM:
+    if data.norm <= spectral.ZERO_NORM:
         if rng is None:
             return [1.0, -1.0][: max(1, k)] if k <= 2 else [1.0, -1.0] + list(np.linspace(0.5, 2.0, k - 2))
         return list(rng.uniform(0.5, 2.0, size=k))
@@ -256,7 +255,7 @@ def _valid_gamma_samples(data: spectral.SpectralData, k: int, rng: np.random.Gen
             np.linspace(1e-3 * width, hi, k - k // 2),
         ])
         xs = [float(x) for x in grid]
-        x_star = walkgen.minimize(data).x_star
+        x_star = spectral.walk_minimum(data).x_star
         if math.isfinite(x_star) and abs(x_star) > 1e-6 * width:
             xs.append(x_star)
     else:
@@ -292,21 +291,20 @@ def submultiplicativity_check(
     def product(gg: float, gh: float) -> np.ndarray:
         return _shifted_product(a_g, data_g, gg, a_h, data_h, gh)
 
-    rhs = walkgen.minimize(data_g).value * walkgen.minimize(data_h).value
+    rhs = spectral.walk_minimum(data_g).value * spectral.walk_minimum(data_h).value
     grid_h = _valid_gamma_samples(data_h, grid)
     points = [(gg, gh) for gg in _valid_gamma_samples(data_g, grid) for gh in grid_h if abs(gg * gh) >= 1e-12]
-    values = [walkgen.minimize(_product_spectrum(data_g, gg, data_h, gh)).value for gg, gh in points]
+    values = [spectral.walk_minimum(_product_spectrum(data_g, gg, data_h, gh)).value for gg, gh in points]
     lhs = min(values, default=math.inf)
     if points:
         gg, gh = points[values.index(lhs)]
         data = _product_spectrum(data_g, gg, data_h, gh)
         spectral.check_eigenpairs(product(gg, gh), data.eigenvalues, data.eigenvectors)
     rng = np.random.default_rng(seed)
-    w_g, w_h = ReciprocalSum.from_spectral(data_g), ReciprocalSum.from_spectral(data_h)
     samples_g = _valid_gamma_samples(data_g, n_random, rng)
     for gg, gh in zip(samples_g, _valid_gamma_samples(data_h, n_random, rng)):
         left = _walk_value(product(gg, gh), -1.0 / (gg * gh))
-        right = w_g.value(-1.0 / gg) * w_h.value(-1.0 / gh)
+        right = data_g.walk.value(-1.0 / gg) * data_h.walk.value(-1.0 / gh)
         if abs(left - right) > identity_tol * (1.0 + abs(right)):
             raise AssertionError(f"factorization identity failed at gammas ({gg}, {gh}): "
                                  f"{left} vs {right}")

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from walktheta import spectral, walkgen
+from walktheta import spectral
 from walktheta.corpus import fixture_graphs, random_graph  # noqa: F401 (re-exported)
 from walktheta.corpus import random_weighted as random_weighted_matrix  # noqa: F401
 from walktheta.graphs import Graph, generate_named
@@ -84,7 +84,7 @@ def reference_optimal_scaling(a: np.ndarray) -> tuple:
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     norm = float(np.linalg.norm(a))
-    if norm <= walkgen.ZERO_NORM:
+    if norm <= spectral.ZERO_NORM:
         raise ValueError("optimal scaling needs a nonzero matrix")
     ones = np.ones((n, n))
 

@@ -22,7 +22,7 @@ from walktheta.reciprocal import (
     has_critical_points,
     verify_duality,
 )
-from walktheta.spectral import eig_sym
+from walktheta.spectral import eig_sym, walk_minimum
 from walktheta.theta import (
     RESIDUAL_TOL,
     _shifted_product,
@@ -30,7 +30,6 @@ from walktheta.theta import (
     minimize_theta,
     submultiplicativity_check,
 )
-from walktheta.walkgen import minimize
 
 SQRT5 = math.sqrt(5.0)
 
@@ -59,9 +58,7 @@ def test_criterion_02_p17_figure_value():
     with criterion(2, "p17 walkgen bound and maximal critical point", 1.0):
         p17 = generate_named("path", n=17)
         assert report(p17).walkgen_bound == pytest.approx(9.0, abs=1e-6)
-        from walktheta.reciprocal import ReciprocalSum
-        from walktheta.spectral import eig_sym
-        rep = verify_duality(ReciprocalSum.from_spectral(eig_sym(adjacency(p17))))
+        rep = verify_duality(eig_sym(adjacency(p17)).walk)
         assert rep.duality_holds
         assert rep.maximal[1] == pytest.approx(9.0, abs=1e-6)
         lo, hi = rep.strip
@@ -120,7 +117,7 @@ def test_criterion_06_scaling_duality():
         for _ in range(100):
             a = random_weighted_matrix(rng, n_min=3, n_max=10)
             _, scaled = reference_optimal_scaling(a)
-            direct = minimize(eig_sym(a)).value
+            direct = walk_minimum(eig_sym(a)).value
             assert abs(scaled - direct) <= 1e-6
 
 
@@ -135,7 +132,7 @@ def test_criterion_07_optimizer_certificates():
             norm_a = float(np.linalg.norm(a))
             assert cert.residual_orth <= RESIDUAL_TOL * max(1.0, norm_a) * scale
             assert cert.residual_sphere <= RESIDUAL_TOL * scale
-            assert abs(cert.norm_sq - minimize(eig_sym(a)).value) <= 1e-6
+            assert abs(cert.norm_sq - walk_minimum(eig_sym(a)).value) <= 1e-6
 
 
 def test_criterion_08_theta_sandwich_closures():
@@ -192,7 +189,7 @@ def test_criterion_09_submultiplicativity():
         assert independence_number(product) == 5
         a = adjacency(c5)
         data = eig_sym(a)
-        gamma = -1.0 / minimize(data).x_star
+        gamma = -1.0 / walk_minimum(data).x_star
         seed = _shifted_product(a, data, gamma, a, data, gamma)[product.rows, product.cols]
         est = minimize_theta(product, init_weights=seed, max_iter=250)
         assert est.upper == pytest.approx(5.0, abs=1e-2)

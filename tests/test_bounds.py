@@ -46,7 +46,7 @@ def test_closed_form_star_matches_two_term_oracle():
     assert rep.closed_form_condition
     data = eig_sym(adjacency(star))
     n, lam1, lamn = 5, data.lam_max, data.lam_min
-    w1 = max(w for rep, w in data.clusters if abs(rep - lam1) < 1e-7)
+    w1 = max(w for rep, w in zip(data.walk.rates, data.walk.weights) if abs(rep - lam1) < 1e-7)
     s = math.sqrt(-lamn * (n - w1) / (lam1 * w1))
     x = -(1.0 - s) / (-lamn + lam1 * s)
     two_term = w1 / (1.0 - lam1 * x) + (n - w1) / (1.0 - lamn * x)

@@ -393,6 +393,36 @@ def test_theta_max_iter_below_one_is_usage_error(capsys, max_iter):
     assert "--max-iter" in err
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_theta_tol_not_finite_and_nonnegative_is_usage_error(capsys, tol):
+    code, out, err = run_cli(capsys, "theta", "--named", "cycle", "--n", "5", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
+@pytest.mark.parametrize("params,unused", [(["--named", "petersen", "--n", "99"], "parameter n"),
+                                           (["--named", "golomb", "--n", "5"], "parameter n"),
+                                           (["--named", "cycle", "--n", "5", "--k", "7"], "parameter k")])
+def test_named_family_rejects_a_parameter_it_does_not_take(capsys, params, unused):
+    code, out, err = run_cli(capsys, "bounds", *params)
+    assert code == 2
+    assert out == ""
+    assert f"takes no {unused}" in err
+
+
+def test_plot_leaves_poles_blank(capsys):
+    """P3's poles are at +-1/sqrt(2): the window's two ends are blank, W(0) = n in the middle."""
+    code, out, _ = run_cli(capsys, "plot", "--named", "path", "--n", "3",
+                           "--lo", "-0.707106781187", "--hi", "0.707106781187", "--samples", "5")
+    assert code == 0
+    rows = out.splitlines()[3:]
+    assert out.splitlines()[2] == "x,W" and len(rows) == 5
+    assert rows[0].endswith(",") and rows[-1].endswith(",")
+    assert rows[2] == "0,3"
+    assert all(not row.endswith(",") for row in rows[1:-1])
+
+
 def test_verify_scaling_runs_at_most_the_case_cap(capsys):
     code, out, _ = run_cli(capsys, "verify", "scaling", "--random", "300")
     assert code == 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from walktheta import reciprocal, walkgen
+from walktheta import reciprocal, spectral
 from walktheta.corpus import fixture_graphs, random_graph, random_instance
 from walktheta.graphs import adjacency, generate_named
 from walktheta.reciprocal import (
@@ -119,7 +119,7 @@ def test_isolation_matches_numpy_reference_on_walk_sums(corpus):
     graphs += [random_graph(rng, n_max=30) for _ in range(100)]
     checked = 0
     for g in graphs:
-        f = ReciprocalSum.from_spectral(eig_sym(adjacency(g)))
+        f = eig_sym(adjacency(g)).walk
         if f.poles:
             assert_isolates_as_reference(f)
             checked += 1
@@ -178,7 +178,7 @@ def exact_path_terms(n: int) -> tuple:
 
 
 def walk_terms(name, **kwargs) -> ReciprocalSum:
-    return ReciprocalSum.from_spectral(eig_sym(adjacency(generate_named(name, **kwargs))))
+    return eig_sym(adjacency(generate_named(name, **kwargs))).walk
 
 
 def test_has_critical_points_branches():
@@ -409,7 +409,7 @@ def test_walk_sum_matches_its_definition(n, entries, x):
     assume(np.all((gaps <= 1e-12 * scale) | (gaps >= 1e-4 * scale)))
     d_min = float(np.min(np.abs(1.0 - lam * x)))
     assume(d_min >= 0.1)
-    f = ReciprocalSum.from_spectral(eig_sym(a))
+    f = eig_sym(a).walk
     ones = np.ones(n)
     exact = float(ones @ np.linalg.solve(np.eye(n) - x * a, ones))
     magnitude = sum(w / abs(1.0 - r * x) for w, r in zip(f.weights, f.rates))
@@ -457,8 +457,8 @@ def test_newton_root_matches_bisection_on_random_sums(seed, u, v):
 def test_newton_root_matches_bisection_on_walk_sums(seed, n_max):
     """The walk bound's interval [1/lam_min, 0] and the whole spectral interval of a G(n, p)."""
     data = eig_sym(adjacency(random_graph(np.random.default_rng(seed), n_max=n_max)))
-    assume(data.norm > walkgen.ZERO_NORM)
-    f = ReciprocalSum.from_spectral(data)
+    assume(data.norm > spectral.ZERO_NORM)
+    f = data.walk
     assert_matches_reference(f, 1.0 / data.lam_min, 0.0)
     assert_matches_reference(f, 1.0 / data.lam_min, 1.0 / data.lam_max)
 
@@ -466,7 +466,7 @@ def test_newton_root_matches_bisection_on_walk_sums(seed, n_max):
 def test_newton_critical_points_match_bisection_on_fixture_walk_sums():
     for _, g in fixture_graphs():
         if g.edges:
-            assert_same_critical_points(ReciprocalSum.from_spectral(eig_sym(adjacency(g))))
+            assert_same_critical_points(eig_sym(adjacency(g)).walk)
 
 
 def test_walk_minimum_takes_few_search_steps(monkeypatch):
@@ -496,8 +496,8 @@ def test_walk_minimum_takes_few_search_steps(monkeypatch):
     rng = np.random.default_rng(15)
     for _ in range(200):
         data = eig_sym(adjacency(random_graph(rng)))
-        if data.norm > walkgen.ZERO_NORM:
-            walkgen.minimize(data, hi=0.0)
+        if data.norm > spectral.ZERO_NORM:
+            spectral.walk_minimum(data, hi=0.0)
     assert len(steps) >= 100
     mean = sum(steps) / len(steps)
     assert mean <= 10.0, mean

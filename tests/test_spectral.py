@@ -42,6 +42,11 @@ def loop_cluster_weights(data, drop=True) -> tuple:
     return tuple(clusters)
 
 
+def rate_weight_pairs(data) -> tuple:
+    """(rate, weight) per term of `data.walk`, ascending: one pair per kept cluster."""
+    return tuple(zip(data.walk.rates, data.walk.weights))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(
     spectrum=st.lists(st.tuples(st.integers(-4, 4), st.integers(1, 4)), min_size=1, max_size=5),
@@ -61,7 +66,7 @@ def test_cluster_weights_equals_loop_on_repeated_eigenvalues(spectrum, jitter, o
     q, _ = np.linalg.qr(basis)
     m = (q * vals) @ q.T
     data = eig_sym(m + m.T)     # exactly symmetric, multiplicities kept
-    assert data.clusters == loop_cluster_weights(data)
+    assert rate_weight_pairs(data) == loop_cluster_weights(data)
 
 
 @pytest.mark.parametrize("g", [
@@ -75,13 +80,13 @@ def test_cluster_weights_equals_loop_on_repeated_eigenvalues(spectrum, jitter, o
 def test_cluster_weights_equals_loop_on_graphs(g):
     for m in (adjacency(g), laplacian(g)):
         data = eig_sym(m)
-        assert data.clusters == loop_cluster_weights(data)
+        assert rate_weight_pairs(data) == loop_cluster_weights(data)
 
 
 def test_dropped_interior_cluster_fixture():
     data = eig_sym(adjacency(parse_graph6(DROPPED_INTERIOR_G6)))
     reps = [rep for rep, _ in loop_cluster_weights(data, drop=False)]
-    kept = [rep for rep, _ in data.clusters]
+    kept = [rep for rep, _ in rate_weight_pairs(data)]
     dropped = [rep for rep in reps if rep not in kept]
     assert dropped and all(reps[0] < rep < reps[-1] for rep in dropped)
 
@@ -89,26 +94,26 @@ def test_dropped_interior_cluster_fixture():
 def test_zero_matrix():
     data = eig_sym(np.zeros((3, 3)))
     assert list(data.eigenvalues) == [0.0] * 3
-    assert data.clusters == ((0.0, pytest.approx(3.0)),)
+    assert rate_weight_pairs(data) == ((0.0, pytest.approx(3.0)),)
 
 
 def test_zero_eigenvalue_snaps_to_zero_rate():
     """Within TOL_ZERO * n * scale of 0 a representative is 0.0 exactly; beyond, it is kept."""
     path = eig_sym(adjacency(generate_named("path", n=5)))
     assert abs(path.eigenvalues[2]) < 1e-15                 # float noise from eigh, or 0
-    assert [rep for rep, _ in path.clusters][1] == 0.0
+    assert [rep for rep, _ in rate_weight_pairs(path)][1] == 0.0
     tol = spectral.TOL_ZERO * 3 * math.sqrt(2.0)            # n = 3, norm of the spectrum (-1, ~0, 1)
     for eps, rep in ((0.9 * tol, 0.0), (1.1 * tol, 1.1 * tol), (-2.5e-12, -2.5e-12)):
         data = eig_sym(np.diag([-1.0, eps, 1.0]))
-        assert data.clusters[1] == (pytest.approx(rep, rel=1e-12, abs=0.0), 1.0)
+        assert rate_weight_pairs(data)[1] == (pytest.approx(rep, rel=1e-12, abs=0.0), 1.0)
 
 
 def test_k2_drops_zero_weight_cluster():
     data = eig_sym(adjacency(generate_named("complete", n=2)))
     assert data.eigenvalues == pytest.approx([-1.0, 1.0])
     # the -1 eigenvector is orthogonal to the all-ones vector
-    assert len(data.clusters) == 1
-    rep, weight = data.clusters[0]
+    assert len(rate_weight_pairs(data)) == 1
+    rep, weight = rate_weight_pairs(data)[0]
     assert rep == pytest.approx(1.0)
     assert weight == pytest.approx(2.0)
 
@@ -117,7 +122,7 @@ def test_c5_circulant_eigenvalues():
     data = eig_sym(adjacency(generate_named("cycle", n=5)))
     expected = sorted(2.0 * math.cos(2.0 * math.pi * k / 5.0) for k in range(5))
     assert data.eigenvalues == pytest.approx(expected)
-    assert data.clusters == ((pytest.approx(2.0), pytest.approx(5.0)),)
+    assert rate_weight_pairs(data) == ((pytest.approx(2.0), pytest.approx(5.0)),)
 
 
 @pytest.mark.parametrize("name,kwargs,k", [
@@ -129,8 +134,8 @@ def test_c5_circulant_eigenvalues():
 def test_regular_graphs_have_single_cluster(name, kwargs, k):
     g = generate_named(name, **kwargs)
     data = eig_sym(adjacency(g))
-    assert len(data.clusters) == 1
-    rep, weight = data.clusters[0]
+    assert len(rate_weight_pairs(data)) == 1
+    rep, weight = rate_weight_pairs(data)[0]
     assert rep == pytest.approx(k)
     assert weight == pytest.approx(g.n)
 
@@ -142,7 +147,7 @@ def test_weights_sum_to_n_on_random_matrices():
         m = rng.normal(size=(n, n))
         m = m + m.T
         data = eig_sym(m)
-        total = sum(w for _, w in data.clusters)
+        total = sum(w for _, w in rate_weight_pairs(data))
         assert abs(total - n) <= 1e-9 * n
 
 
@@ -180,4 +185,4 @@ def test_eigh_checked_returns_the_norm_eig_sym_keeps():
 
 def test_empty_matrix():
     data = eig_sym(np.zeros((0, 0)))
-    assert data.n == 0 and data.clusters == ()
+    assert data.n == 0 and rate_weight_pairs(data) == ()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import plain_alpha, random_weighted_matrix, reference_optimal_scaling
-from walktheta import cli, graphs, independent_set, spectral, theta, walkgen
+from walktheta import cli, graphs, independent_set, reciprocal, spectral, theta
 from walktheta.graphs import Graph, adjacency, generate_named, strong_product
 from walktheta.independent_set import independence_number, max_independent_set
 from walktheta.spectral import eig_sym
@@ -186,7 +186,7 @@ def test_optimal_scaling_c5():
     t, value, walk_min = optimal_scaling(a)
     assert value == pytest.approx(SQRT5, abs=1e-6)
     assert value == pytest.approx(walk_min, abs=1e-6)
-    assert walk_min == walkgen.minimize(eig_sym(a)).value
+    assert walk_min == spectral.walk_minimum(eig_sym(a)).value
 
 
 def test_optimal_scaling_p17():
@@ -263,7 +263,7 @@ def certify(a: np.ndarray) -> None:
     norm_a = float(np.linalg.norm(a))
     assert cert.residual_orth <= RESIDUAL_TOL * max(1.0, norm_a) * scale
     assert cert.residual_sphere <= RESIDUAL_TOL * scale
-    assert cert.walk_min == walkgen.minimize(eig_sym(a)).value
+    assert cert.walk_min == spectral.walk_minimum(eig_sym(a)).value
     assert abs(cert.norm_sq - cert.walk_min) <= 1e-6
 
 
@@ -365,7 +365,7 @@ def test_theta_estimate_c5_product_sandwich():
     # seed the weights through the product construction at the factor optimum
     a = adjacency(c5)
     data = eig_sym(a)
-    gamma = -1.0 / walkgen.minimize(data).x_star
+    gamma = -1.0 / spectral.walk_minimum(data).x_star
     seed = theta._shifted_product(a, data, gamma, a, data, gamma)[product.rows, product.cols]
     est = minimize_theta(product, init_weights=seed, max_iter=250)
     assert est.upper == pytest.approx(5.0, abs=1e-2)
@@ -376,9 +376,9 @@ def test_theta_estimate_c5_product_sandwich():
 
 def test_extract_optimizer_decomposes_once(eig_calls):
     # golomb's minimum is interior, C5's sits at an interval endpoint
-    for name in ("golomb", "cycle"):
+    for name, params in (("golomb", {}), ("cycle", {"n": 5})):
         eig_calls.clear()
-        extract_optimizer(adjacency(generate_named(name, n=5)))
+        extract_optimizer(adjacency(generate_named(name, **params)))
         assert len(eig_calls) == 1, name
 
 
@@ -391,6 +391,18 @@ def test_submultiplicativity_decomposes_each_factor_once(eig_calls):
     assert np.array_equal(factors[1], adjacency(h))
     # the grid products' spectra come from the factors; the identity samples decompose nothing
     assert len(eig_calls) == len(factors)
+
+
+def test_submultiplicativity_builds_one_walk_function_per_spectrum(monkeypatch):
+    """Each `SpectralData` builds its `ReciprocalSum` once, and nothing else builds one."""
+    built = []
+    for cls in (spectral.SpectralData, reciprocal.ReciprocalSum):
+        def counted(self, real=cls.__post_init__, name=cls.__name__):
+            built.append(name)
+            real(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    submultiplicativity_check(generate_named("cycle", n=5), generate_named("path", n=3), grid=4, n_random=5)
+    assert built.count("SpectralData") == built.count("ReciprocalSum") > 0
 
 
 def test_submultiplicativity_builds_product_graph_once(monkeypatch):
@@ -419,8 +431,8 @@ def test_product_spectrum_matches_matrix_route_on_verify_pairs(corpus):
                     continue
                 derived = theta._product_spectrum(data_g, gg, data_h, gh)
                 direct = eig_sym(theta._shifted_product(a_g, data_g, gg, a_h, data_h, gh))
-                assert len(derived.clusters) == len(direct.clusters), (na, nb, gg, gh)
-                got, want = walkgen.minimize(derived).value, walkgen.minimize(direct).value
+                assert len(derived.walk.rates) == len(direct.walk.rates), (na, nb, gg, gh)
+                got, want = spectral.walk_minimum(derived).value, spectral.walk_minimum(direct).value
                 assert abs(got - want) <= 1e-12 * abs(want), (na, nb, gg, gh)
                 points += 1
     assert points == 944

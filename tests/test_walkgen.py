@@ -6,27 +6,26 @@ import pytest
 from conftest import random_weighted_matrix
 from walktheta.graphs import adjacency, generate_named
 from walktheta.reciprocal import PoleProximityError, ReciprocalSum
-from walktheta.spectral import eig_sym
-from walktheta.walkgen import minimize, sample
+from walktheta.spectral import eig_sym, walk_minimum
 
 SQRT5 = math.sqrt(5.0)
 
 
 def test_build_k2():
-    fn = ReciprocalSum.from_spectral(eig_sym(adjacency(generate_named("complete", n=2))))
+    fn = eig_sym(adjacency(generate_named("complete", n=2))).walk
     assert fn.rates == (pytest.approx(1.0),)
     assert fn.weights == (pytest.approx(2.0),)
     assert fn.n_total == 2.0
 
 
 def test_build_zero_matrix():
-    fn = ReciprocalSum.from_spectral(eig_sym(np.zeros((4, 4))))
+    fn = eig_sym(np.zeros((4, 4))).walk
     assert fn.rates == (0.0,)
     assert fn.weights == (pytest.approx(4.0),)
 
 
 def test_build_c5():
-    fn = ReciprocalSum.from_spectral(eig_sym(adjacency(generate_named("cycle", n=5))))
+    fn = eig_sym(adjacency(generate_named("cycle", n=5))).walk
     assert fn.rates == (pytest.approx(2.0),)
     assert fn.weights == (pytest.approx(5.0),)
 
@@ -51,43 +50,43 @@ def test_value_near_pole_raises():
 
 def test_golomb_interior_minimum_value():
     a = adjacency(generate_named("golomb"))
-    opt = minimize(eig_sym(a))
+    opt = walk_minimum(eig_sym(a))
     assert opt.value == pytest.approx(4.744, abs=1e-3)
     assert not opt.at_endpoint
-    fn = ReciprocalSum.from_spectral(eig_sym(a))
+    fn = eig_sym(a).walk
     assert fn.value(opt.x_star) == pytest.approx(opt.value)
 
 
 def test_minimize_regular_hits_left_endpoint():
     a = adjacency(generate_named("cycle", n=5))
     data = eig_sym(a)
-    opt = minimize(data)
+    opt = walk_minimum(data)
     assert opt.at_endpoint
     assert opt.x_star == pytest.approx(1.0 / data.lam_min)
     assert opt.value == pytest.approx(SQRT5, abs=1e-12)
 
 
 def test_minimize_zero_matrix_sentinel():
-    opt = minimize(eig_sym(np.zeros((7, 7))))
+    opt = walk_minimum(eig_sym(np.zeros((7, 7))))
     assert opt.value == 7.0
     assert math.isinf(opt.x_star)
 
 
 def test_subinterval_c5():
     data = eig_sym(adjacency(generate_named("cycle", n=5)))
-    opt = minimize(data, 1.0 / data.lam_min, 0.0)
+    opt = walk_minimum(data, 1.0 / data.lam_min, 0.0)
     assert opt.value == pytest.approx(SQRT5, abs=1e-12)
 
 
 def test_subinterval_p17_is_nine():
     data = eig_sym(adjacency(generate_named("path", n=17)))
-    opt = minimize(data, 1.0 / data.lam_min, 0.0)
+    opt = walk_minimum(data, 1.0 / data.lam_min, 0.0)
     assert opt.value == pytest.approx(9.0, abs=1e-6)
     assert not opt.at_endpoint
 
 
 def test_subinterval_zero_matrix():
-    opt = minimize(eig_sym(np.zeros((5, 5))), -1.0, 1.0)
+    opt = walk_minimum(eig_sym(np.zeros((5, 5))), -1.0, 1.0)
     assert opt.value == 5.0
 
 
@@ -97,7 +96,7 @@ def test_convexity_on_random_weighted_graphs():
     while checks < 1000:
         a = random_weighted_matrix(rng)
         data = eig_sym(a)
-        fn = ReciprocalSum.from_spectral(data)
+        fn = data.walk
         lo, hi = 1.0 / data.lam_min, 1.0 / data.lam_max
         width = hi - lo
         for _ in range(25):
@@ -112,7 +111,7 @@ def test_derivative_at_zero_counts_edges(corpus):
         a = adjacency(g)
         # exact integer identity <1, A 1> = 2|E|
         assert int(np.ones(g.n) @ a @ np.ones(g.n)) == 2 * g.num_edges, name
-        fn = ReciprocalSum.from_spectral(eig_sym(a))
+        fn = eig_sym(a).walk
         assert fn.derivative(0.0) == pytest.approx(2.0 * g.num_edges, abs=1e-8), name
 
 
@@ -120,8 +119,8 @@ def test_minimum_dominates_kernel_weight(corpus):
     for name, g in corpus:
         a = adjacency(g)
         data = eig_sym(a)
-        kernel = sum(w for rep, w in data.clusters if abs(rep) < 1e-7)
-        opt = minimize(data)
+        kernel = sum(w for rep, w in zip(data.walk.rates, data.walk.weights) if abs(rep) < 1e-7)
+        opt = walk_minimum(data)
         assert opt.value >= kernel - 1e-8, name
         assert opt.value >= 0.0
 
@@ -131,7 +130,7 @@ def test_derivative_matches_finite_differences():
     for _ in range(20):
         a = random_weighted_matrix(rng)
         data = eig_sym(a)
-        fn = ReciprocalSum.from_spectral(data)
+        fn = data.walk
         lo, hi = 1.0 / data.lam_min, 1.0 / data.lam_max
         width = hi - lo
         x = float(rng.uniform(lo + 0.1 * width, hi - 0.1 * width))
@@ -140,18 +139,3 @@ def test_derivative_matches_finite_differences():
         third = abs(fn.value(x + h) - 2 * fn.value(x) + fn.value(x - h)) / h**2
         assert abs(fn.derivative(x) - approx) <= 10.0 * (third + 1.0) * h**2 / width
 
-
-def test_sample_emits_pole_gaps():
-    fn = ReciprocalSum((1.0, 1.0), (-1.0, 1.0), 2.0)
-    pts = sample(fn, -1.0, 1.0, 41)
-    assert len(pts) == 41
-    assert pts[0][1] is None and pts[-1][1] is None
-    interior = [v for _, v in pts[1:-1]]
-    assert all(v is not None for v in interior)
-    assert min(interior) == pytest.approx(2.0)
-
-
-def test_sample_validates_count():
-    fn = ReciprocalSum((1.0,), (0.0,), 1.0)
-    with pytest.raises(ValueError):
-        sample(fn, 0.0, 1.0, 1)

@@ -32,7 +32,10 @@ CASES += [[f"theta{s}", "theta", f"theta{s}.g6", "--max-iter", "400"] for s in (
 # seed 203 fails a scaling and an optimizer case (ROADMAP item 4): exit 1 on both sides
 CASES += [[f"verify{s}", "verify", "all", "--random", "500", "--seed", str(s)] for s in (1, 2, 203)]
 CASES += [["plot-p17", "plot", "--named", "path", "--n", "17"], ["plot-golomb", "plot", "--named", "golomb"],
-          ["plot-golomb-window", "plot", "--named", "golomb", "--lo", "-0.6", "--hi", "0.3", "--samples", "500"]]
+          ["plot-golomb-window", "plot", "--named", "golomb", "--lo", "-0.6", "--hi", "0.3", "--samples", "500"],
+          ["plot-empty", "plot", "--named", "empty", "--n", "3", "--samples", "5"],
+          ["plot-p3-poles", "plot", "--named", "path", "--n", "3", "--lo", "-0.707106781187",
+           "--hi", "0.707106781187", "--samples", "5"]]
 CASES += [["bounds1-alpha", "bounds", "bounds1.g6", "--alpha-oracle"],
           ["theta1-alpha", "theta", "theta1.g6", "--max-iter", "400", "--alpha-oracle"]]
 
