@@ -9,7 +9,9 @@ import numpy as np
 
 from .reciprocal import IntervalMin, ReciprocalSum
 
-__all__ = ["SpectralData", "eigh_checked", "check_eigenpairs", "eig_sym", "cluster_weights", "walk_minimum"]
+__all__ = [
+    "SpectralData", "eigh_checked", "check_eigenpairs", "eig_sym", "cluster_weights", "merge_terms", "walk_minimum",
+]
 
 # Relative tolerances: eigensolver residual, eigenvalue clustering, the
 # threshold below which a cluster's all-ones weight counts as exactly zero,
@@ -91,37 +93,39 @@ def eig_sym(m: np.ndarray) -> SpectralData:
 
 
 def cluster_weights(data: SpectralData) -> ReciprocalSum:
-    """Walk-generating function: merge near-equal eigenvalues and sum the all-ones overlaps per cluster.
-
-    Zero-weight clusters are dropped: the corresponding reciprocal poles are
-    removable and must not appear downstream. A representative within
-    TOL_ZERO * n * scale of 0, `eigh`'s rounding error, is 0.0 exactly: float
-    noise must not put a pole near 1e16.
-    """
+    """Walk-generating function of a decomposition: its eigenvalues, weighted by the all-ones overlaps."""
     vals = data.eigenvalues
-    n = len(vals)
-    if n == 0:
-        return ReciprocalSum((), (), 0.0)
-    scale = max(1.0, float(np.linalg.norm(vals)))
+    overlaps = (np.ones(len(vals)) @ data.eigenvectors) ** 2
+    return merge_terms(vals.tolist(), overlaps.tolist(), len(vals), max(1.0, float(np.linalg.norm(vals))))
+
+
+def merge_terms(rates: list, weights: list, n: int, scale: float) -> ReciprocalSum:
+    """Walk-generating function of an n x n matrix from its terms, rates ascending.
+
+    Rates within TOL_CLUSTER * scale of their neighbour merge into one term
+    (mean rate, summed weight); scale is max(1, the matrix's Frobenius norm).
+    Terms of weight at most TOL_WEIGHT * n are dropped: their poles are
+    removable and must not appear downstream. A rate within TOL_ZERO * n *
+    scale of 0, `eigh`'s rounding error, is 0.0 exactly: float noise must not
+    put a pole near 1e16.
+    """
     tol_cluster = TOL_CLUSTER * scale
     tol_zero = TOL_ZERO * n * scale
     tol_weight = TOL_WEIGHT * n
-    overlaps = (np.ones(n) @ data.eigenvectors) ** 2
-    cuts = [0, *(np.flatnonzero(np.diff(vals) > tol_cluster) + 1).tolist(), n]
-    val_list, overlap_list = vals.tolist(), overlaps.tolist()
-    rates, weights = [], []
-    for start, stop in zip(cuts, cuts[1:]):
+    starts = [i for i in range(len(rates)) if i == 0 or rates[i] - rates[i - 1] > tol_cluster]
+    merged_rates, merged_weights = [], []
+    for start, stop in zip(starts, [*starts[1:], len(rates)]):
         if stop - start == 1:
             # equal to np.mean/np.sum of the slice; longer clusters keep those
             # calls, since np.add.reduceat rounds differently in the last ulp
-            rep, weight = val_list[start], overlap_list[start]
+            rep, weight = rates[start], weights[start]
         else:
-            weight = float(np.sum(overlaps[start:stop]))
-            rep = float(np.mean(vals[start:stop]))
+            weight = float(np.sum(weights[start:stop]))
+            rep = float(np.mean(rates[start:stop]))
         if weight > tol_weight:
-            rates.append(0.0 if abs(rep) <= tol_zero else rep)
-            weights.append(weight)
-    return ReciprocalSum(weights, rates, float(n))
+            merged_rates.append(0.0 if abs(rep) <= tol_zero else rep)
+            merged_weights.append(weight)
+    return ReciprocalSum(merged_weights, merged_rates, float(n))
 
 
 def walk_minimum(data: SpectralData, lo: float = -math.inf, hi: float = math.inf) -> IntervalMin:
@@ -129,9 +133,10 @@ def walk_minimum(data: SpectralData, lo: float = -math.inf, hi: float = math.inf
 
     The function is convex there, and endpoints sitting on poles are +inf
     walls. A numerically zero matrix yields value n at the infinite sentinel x.
+    `data` needs only `walk`, `norm`, `lam_min` and `lam_max`.
     """
     if data.norm <= ZERO_NORM:
-        return IntervalMin(math.inf, float(data.n), False, 0.0)
+        return IntervalMin(math.inf, data.walk.n_total, False, 0.0)
     lo = max(lo, 1.0 / data.lam_min)
     hi = min(hi, 1.0 / data.lam_max)
     if lo > hi:

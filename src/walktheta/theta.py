@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -210,34 +211,54 @@ def _shifted_product(a_g, data_g, gamma_g, a_h, data_h, gamma_h) -> np.ndarray:
 
     It vanishes off the product's edges; its eigenvalues are (mu + gamma_g)(nu + gamma_h)
     - gamma_g*gamma_h. Each gamma must avoid the band where its shifted factor is indefinite.
+    Equal-length arrays of gammas give the stack of their products.
     """
-    _check_shift("gamma_g", data_g, gamma_g)
-    _check_shift("gamma_h", data_h, gamma_h)
-    s_g, s_h = a_g + gamma_g * np.eye(len(a_g)), a_h + gamma_h * np.eye(len(a_h))
+    gamma_g, gamma_h = np.asarray(gamma_g, dtype=float), np.asarray(gamma_h, dtype=float)
+    for gg, gh in zip(gamma_g.ravel().tolist(), gamma_h.ravel().tolist()):
+        _check_shift("gamma_g", data_g, gg)
+        _check_shift("gamma_h", data_h, gh)
+    s_g = a_g + gamma_g[..., None, None] * np.eye(len(a_g))
+    s_h = a_h + gamma_h[..., None, None] * np.eye(len(a_h))
     n = len(a_g) * len(a_h)
-    m = (s_g[:, None, :, None] * s_h[None, :, None, :]).reshape(n, n)
-    m.flat[:: n + 1] -= gamma_g * gamma_h   # exactly 0; off the support one factor is an exact zero
+    m = (s_g[..., :, None, :, None] * s_h[..., None, :, None, :]).reshape(gamma_g.shape + (n, n))
+    # the diagonal becomes exactly 0; off the support one factor is an exact zero
+    m[..., range(n), range(n)] -= (gamma_g * gamma_h)[..., None]
     return m + 0.0                          # -0.0 -> +0.0, as on a zero matrix filled on the edges
 
 
-def _product_spectrum(data_g, gamma_g, data_h, gamma_h) -> spectral.SpectralData:
-    """Spectral data of `_shifted_product`'s matrix, read off the factors' decompositions.
+def _product_walk(data_g, gamma_g, data_h, gamma_h) -> SimpleNamespace:
+    """Walk function of `_shifted_product`'s matrix from the factors' walk terms, no eigenvectors.
 
-    Eigenvalues (mu + gamma_g)(nu + gamma_h) - gamma_g*gamma_h, sorted stably; eigenvectors
-    u (x) v; `norm` is the eigenvalues' 2-norm, the matrix's Frobenius norm.
+    The all-ones vector is 1 (x) 1, so the terms pair the factors' terms: rates
+    (mu + gamma_g)(nu + gamma_h) - gamma_g*gamma_h, weights w_g*w_h, merged by
+    `spectral.merge_terms` at the scale of the full product spectrum. The extreme
+    eigenvalues are corner products of the factors' extremes, exactly: rounding is monotone.
+    Returns what `spectral.walk_minimum` reads: walk, norm, lam_min and lam_max.
     """
     _check_shift("gamma_g", data_g, gamma_g)
     _check_shift("gamma_h", data_h, gamma_h)
+    shift = gamma_g * gamma_h
+    f_g, f_h = data_g.walk, data_h.walk
+    terms = sorted(((mu + gamma_g) * (nu + gamma_h) - shift, w_g * w_h)
+                   for mu, w_g in zip(f_g.rates, f_g.weights) for nu, w_h in zip(f_h.rates, f_h.weights))
+    corners = [(mu + gamma_g) * (nu + gamma_h) - shift
+               for mu in (data_g.lam_min, data_g.lam_max) for nu in (data_h.lam_min, data_h.lam_max)]
+    norm = float(np.linalg.norm(np.outer(data_g.eigenvalues + gamma_g, data_h.eigenvalues + gamma_h) - shift))
+    walk = spectral.merge_terms([r for r, _ in terms], [w for _, w in terms], data_g.n * data_h.n, max(1.0, norm))
+    return SimpleNamespace(walk=walk, norm=norm, lam_min=min(corners), lam_max=max(corners))
+
+
+def _product_spectrum(data_g, gamma_g, data_h, gamma_h) -> tuple:
+    """Eigenvalues (mu + gamma_g)(nu + gamma_h) - gamma_g*gamma_h and eigenvectors u (x) v of `_shifted_product`."""
     vals = (np.outer(data_g.eigenvalues + gamma_g, data_h.eigenvalues + gamma_h) - gamma_g * gamma_h).ravel()
-    order = np.argsort(vals, kind="stable")
     u, v, n = data_g.eigenvectors, data_h.eigenvectors, len(vals)
-    vecs = (u[:, None, :, None] * v[None, :, None, :]).reshape(n, n)[:, order]
-    return spectral.SpectralData(vals[order], vecs, float(np.linalg.norm(vals)))
+    return vals, (u[:, None, :, None] * v[None, :, None, :]).reshape(n, n)
 
 
-def _walk_value(m: np.ndarray, x: float) -> float:
-    """W_m(x) = 1^T (I - x m)^-1 1 by its definition: one solve, no eigendecomposition."""
-    return float(np.sum(np.linalg.solve(np.eye(len(m)) - x * m, np.ones(len(m)))))
+def _walk_value(m: np.ndarray, x):
+    """W_m(x) = 1^T (I - x m)^-1 1 by its definition: one solve, no eigendecomposition; stackable."""
+    x, n = np.asarray(x, dtype=float), m.shape[-1]
+    return np.sum(np.linalg.solve(np.eye(n) - x[..., None, None] * m, np.ones(n)), axis=-1)
 
 
 def _valid_gamma_samples(data: spectral.SpectralData, k: int, rng: np.random.Generator = None):
@@ -280,30 +301,32 @@ def submultiplicativity_check(
     over a grid of valid shift pairs. rhs: product of the factors' interval
     minima. Also checks the factorization identity
     W_product(-1/(gamma_g*gamma_h)) = W_g(-1/gamma_g) * W_h(-1/gamma_h)
-    at `n_random` random valid shift pairs, the left side by one solve of
-    its definition. Only the factors are decomposed: grid products' spectra
-    are read off theirs, and must pass the residual check against the
-    product matrix at the grid point that sets lhs (LinAlgError otherwise).
+    at `n_random` random valid shift pairs, the left sides by one batched
+    solve of its definition. Only the factors are decomposed: each grid
+    product's walk function pairs the factors' walk terms, and the product
+    eigenpairs u (x) v must pass the residual check against the product
+    matrix at the grid point that sets lhs (LinAlgError otherwise).
     """
     a_g, a_h = adjacency(g), adjacency(h)
     data_g, data_h = spectral.eig_sym(a_g), spectral.eig_sym(a_h)
 
-    def product(gg: float, gh: float) -> np.ndarray:
+    def product(gg, gh) -> np.ndarray:
         return _shifted_product(a_g, data_g, gg, a_h, data_h, gh)
 
     rhs = spectral.walk_minimum(data_g).value * spectral.walk_minimum(data_h).value
     grid_h = _valid_gamma_samples(data_h, grid)
     points = [(gg, gh) for gg in _valid_gamma_samples(data_g, grid) for gh in grid_h if abs(gg * gh) >= 1e-12]
-    values = [spectral.walk_minimum(_product_spectrum(data_g, gg, data_h, gh)).value for gg, gh in points]
+    values = [spectral.walk_minimum(_product_walk(data_g, gg, data_h, gh)).value for gg, gh in points]
     lhs = min(values, default=math.inf)
     if points:
         gg, gh = points[values.index(lhs)]
-        data = _product_spectrum(data_g, gg, data_h, gh)
-        spectral.check_eigenpairs(product(gg, gh), data.eigenvalues, data.eigenvectors)
+        spectral.check_eigenpairs(product(gg, gh), *_product_spectrum(data_g, gg, data_h, gh))
     rng = np.random.default_rng(seed)
     samples_g = _valid_gamma_samples(data_g, n_random, rng)
-    for gg, gh in zip(samples_g, _valid_gamma_samples(data_h, n_random, rng)):
-        left = _walk_value(product(gg, gh), -1.0 / (gg * gh))
+    samples_h = _valid_gamma_samples(data_h, n_random, rng)
+    xs = [-1.0 / (gg * gh) for gg, gh in zip(samples_g, samples_h)]
+    lefts = _walk_value(product(samples_g, samples_h), xs).tolist()
+    for gg, gh, left in zip(samples_g, samples_h, lefts):
         right = data_g.walk.value(-1.0 / gg) * data_h.walk.value(-1.0 / gh)
         if abs(left - right) > identity_tol * (1.0 + abs(right)):
             raise AssertionError(f"factorization identity failed at gammas ({gg}, {gh}): "

@@ -1,11 +1,15 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import plain_alpha, random_weighted_matrix, reference_optimal_scaling
-from walktheta import cli, graphs, independent_set, reciprocal, spectral, theta
+from walktheta import cli, graphs, independent_set, spectral, theta
+from walktheta.corpus import random_graph
 from walktheta.graphs import Graph, adjacency, generate_named, strong_product
 from walktheta.independent_set import independence_number, max_independent_set
 from walktheta.spectral import eig_sym
@@ -393,16 +397,18 @@ def test_submultiplicativity_decomposes_each_factor_once(eig_calls):
     assert len(eig_calls) == len(factors)
 
 
-def test_submultiplicativity_builds_one_walk_function_per_spectrum(monkeypatch):
-    """Each `SpectralData` builds its `ReciprocalSum` once, and nothing else builds one."""
-    built = []
-    for cls in (spectral.SpectralData, reciprocal.ReciprocalSum):
-        def counted(self, real=cls.__post_init__, name=cls.__name__):
-            built.append(name)
-            real(self)
-        monkeypatch.setattr(cls, "__post_init__", counted)
-    submultiplicativity_check(generate_named("cycle", n=5), generate_named("path", n=3), grid=4, n_random=5)
-    assert built.count("SpectralData") == built.count("ReciprocalSum") > 0
+def test_submultiplicativity_reads_product_eigenvectors_once(monkeypatch):
+    """Only the grid point that sets lhs builds product eigenvectors, for its residual check."""
+    calls = []
+    real = theta._product_spectrum
+    monkeypatch.setattr(theta, "_product_spectrum", lambda *args: calls.append(args) or real(*args))
+    g, h = generate_named("cycle", n=5), generate_named("path", n=3)
+    lhs, _, _ = submultiplicativity_check(g, h, grid=4, n_random=5)
+    assert len(calls) == 1
+    data_g, gg, data_h, gh = calls[0]
+    assert theta._product_walk(data_g, gg, data_h, gh) == theta._product_walk(eig_sym(adjacency(g)), gg,
+                                                                              eig_sym(adjacency(h)), gh)
+    assert spectral.walk_minimum(theta._product_walk(data_g, gg, data_h, gh)).value == lhs
 
 
 def test_submultiplicativity_builds_product_graph_once(monkeypatch):
@@ -415,27 +421,58 @@ def test_submultiplicativity_builds_product_graph_once(monkeypatch):
     assert len(built) == 0
 
 
-# --- grid products' spectra from the factors ---
+# --- grid products' walk functions from the factors' walk terms ---
 
-def test_product_spectrum_matches_matrix_route_on_verify_pairs(corpus):
-    """At every grid point, the walk minimum to 1e-12 relative and the same cluster count."""
+def assert_product_walk_matches_matrix_route(a_g, a_h, gamma_pairs) -> int:
+    """At each (gamma_g, gamma_h), the factor-term walk has the product matrix walk's term count,
+    extreme eigenvalues to 1e-12 of the norm and walk minimum to 1e-12 relative; its extremes and
+    norm are exactly those of the full product eigenvalue vector. Returns the count of pairs."""
+    data_g, data_h = eig_sym(a_g), eig_sym(a_h)
+    for gg, gh in gamma_pairs:
+        derived = theta._product_walk(data_g, gg, data_h, gh)
+        vals, _ = theta._product_spectrum(data_g, gg, data_h, gh)
+        assert (derived.lam_min, derived.lam_max, derived.norm) == (vals.min(), vals.max(), np.linalg.norm(vals))
+        direct = eig_sym(theta._shifted_product(a_g, data_g, gg, a_h, data_h, gh))
+        assert len(derived.walk.rates) == len(direct.walk.rates), (gg, gh)
+        assert derived.norm == pytest.approx(direct.norm, rel=1e-12, abs=1e-12)
+        for got, want in ((derived.lam_min, direct.lam_min), (derived.lam_max, direct.lam_max)):
+            assert abs(got - want) <= 1e-12 * max(1.0, direct.norm), (gg, gh)
+        got, want = spectral.walk_minimum(derived).value, spectral.walk_minimum(direct).value
+        assert abs(got - want) <= 1e-12 * abs(want), (gg, gh)
+    return len(gamma_pairs)
+
+
+def test_product_walk_matches_matrix_route_on_verify_pairs(corpus):
+    """Every grid point of `verify product` against `eig_sym` of the shifted product matrix."""
     graphs = dict(corpus)
     points = 0
     for na, nb in VERIFY_PRODUCT_PAIRS:
         a_g, a_h = adjacency(graphs[na]), adjacency(graphs[nb])
         data_g, data_h = eig_sym(a_g), eig_sym(a_h)
         grid_h = theta._valid_gamma_samples(data_h, 8)
-        for gg in theta._valid_gamma_samples(data_g, 8):
-            for gh in grid_h:
-                if abs(gg * gh) < 1e-12:
-                    continue
-                derived = theta._product_spectrum(data_g, gg, data_h, gh)
-                direct = eig_sym(theta._shifted_product(a_g, data_g, gg, a_h, data_h, gh))
-                assert len(derived.walk.rates) == len(direct.walk.rates), (na, nb, gg, gh)
-                got, want = spectral.walk_minimum(derived).value, spectral.walk_minimum(direct).value
-                assert abs(got - want) <= 1e-12 * abs(want), (na, nb, gg, gh)
-                points += 1
+        grid = [(gg, gh) for gg in theta._valid_gamma_samples(data_g, 8) for gh in grid_h if abs(gg * gh) >= 1e-12]
+        points += assert_product_walk_matches_matrix_route(a_g, a_h, grid)
     assert points == 944
+
+
+SMALL_FACTORS = ("P5", "star4", "C5", "K2", "P2", "K4", "C7", "empty3")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), named=st.tuples(st.sampled_from(SMALL_FACTORS + (None,)),
+                                                        st.sampled_from(SMALL_FACTORS + (None,))))
+def test_product_walk_matches_matrix_route_on_random_pairs(corpus, seed, named):
+    """Random and fixture factors (P5 and the star have zero-weight clusters), n_g * n_h <= 49,
+    at grid gammas and random valid gammas."""
+    rng = np.random.default_rng(seed)
+    g, h = (dict(corpus)[name] if name else random_graph(rng, n_max=7) for name in named)
+    assume(g.n * h.n <= 49)
+    a_g, a_h = adjacency(g), adjacency(h)
+    data_g, data_h = eig_sym(a_g), eig_sym(a_h)
+    grid = list(zip(theta._valid_gamma_samples(data_g, 4), theta._valid_gamma_samples(data_h, 4)))
+    sampled = list(zip(theta._valid_gamma_samples(data_g, 4, rng), theta._valid_gamma_samples(data_h, 4, rng)))
+    assert_product_walk_matches_matrix_route(a_g, a_h, [(gg, gh) for gg, gh in grid + sampled
+                                                        if abs(gg * gh) >= 1e-12])
 
 
 def test_product_spectrum_is_checked_against_the_product_matrix(monkeypatch):
@@ -443,15 +480,44 @@ def test_product_spectrum_is_checked_against_the_product_matrix(monkeypatch):
     real = theta._product_spectrum
 
     def perturbed(data_g, gamma_g, data_h, gamma_h):
-        data = real(data_g, gamma_g, data_h, gamma_h)
-        shifted = data.eigenvalues + 1e-4 * data.norm   # 1e-8 * norm * n is allowed
-        return spectral.SpectralData(shifted, data.eigenvectors, data.norm)
+        vals, vecs = real(data_g, gamma_g, data_h, gamma_h)
+        return vals + 1e-4 * np.linalg.norm(vals), vecs   # 1e-8 * norm * n is allowed
 
     monkeypatch.setattr(theta, "_product_spectrum", perturbed)
     c5 = generate_named("cycle", n=5)
     with pytest.raises(np.linalg.LinAlgError, match="residual"):
         submultiplicativity_check(c5, c5)
     assert cli.main(["verify", "product"]) == 1
+
+
+# --- the factorization identity, one batched solve per pair ---
+
+def test_batched_identity_equals_per_sample_solves_on_verify_pairs(corpus):
+    """The stacked product and batched solve give each sample's `_walk_value` bit for bit."""
+    graphs = dict(corpus)
+    for i, (na, nb) in enumerate(VERIFY_PRODUCT_PAIRS):
+        a_g, a_h = adjacency(graphs[na]), adjacency(graphs[nb])
+        data_g, data_h = eig_sym(a_g), eig_sym(a_h)
+        rng = np.random.default_rng(i)
+        samples_g = theta._valid_gamma_samples(data_g, 50, rng)
+        samples_h = theta._valid_gamma_samples(data_h, 50, rng)
+        xs = [-1.0 / (gg * gh) for gg, gh in zip(samples_g, samples_h)]
+        stacked = theta._shifted_product(a_g, data_g, np.array(samples_g), a_h, data_h, np.array(samples_h))
+        batched = theta._walk_value(stacked, np.array(xs))
+        for k, (gg, gh, x) in enumerate(zip(samples_g, samples_h, xs)):
+            single = theta._shifted_product(a_g, data_g, gg, a_h, data_h, gh)
+            assert np.array_equal(stacked[k], single) and np.array_equal(np.signbit(stacked[k]), np.signbit(single))
+            assert batched[k] == theta._walk_value(single, x), (na, nb, k)
+
+
+def test_failed_identity_names_the_first_sample(corpus):
+    graphs = dict(corpus)
+    p5, c5 = graphs["P5"], graphs["C5"]
+    rng = np.random.default_rng(7)
+    gg = theta._valid_gamma_samples(eig_sym(adjacency(p5)), 50, rng)[0]
+    gh = theta._valid_gamma_samples(eig_sym(adjacency(c5)), 50, rng)[0]
+    with pytest.raises(AssertionError, match=re.escape(f"failed at gammas ({gg}, {gh}): ")):
+        submultiplicativity_check(p5, c5, seed=7, identity_tol=-1.0)
 
 
 # --- the shifted product, built without a mask ---
