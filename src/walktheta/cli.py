@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -35,7 +34,9 @@ def _read_graphs(args):
     """The input graphs, as an iterable.
 
     The input file is read at once, so a missing file fails before any output
-    is opened; graph6 lines are parsed lazily, one per graph consumed.
+    is opened; graph6 lines are parsed lazily, one per graph consumed. A first
+    non-blank character that is a digit, an edge list's vertex count, selects
+    the edge-list format: no graph6 byte or header starts with a digit.
     """
     if args.named:
         if args.input:
@@ -53,11 +54,7 @@ def _read_graphs(args):
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from exc
     text = raw.decode("ascii", errors="replace")
-    fmt = args.format
-    if fmt == "auto":
-        first = text.lstrip().splitlines()[0].lstrip() if text.strip() else ""
-        fmt = "edges" if first[:1].isdigit() else "g6"
-    if fmt == "edges":
+    if text.lstrip()[:1].isdigit():
         try:
             return [parse_edge_list(text)]
         except ValueError as exc:
@@ -107,13 +104,10 @@ def cmd_bounds(args) -> int:
 def cmd_theta(args) -> int:
     if args.max_iter < 1:
         raise InputError(f"--max-iter must be at least 1, got {args.max_iter}")
-    if not 0.0 <= args.tol < math.inf:
-        raise InputError(f"--tol must be finite and at least 0, got {args.tol}")
     graphs = _read_graphs(args)
     with _output(args) as write:
         for g in graphs:
-            est = theta.minimize_theta(g, max_iter=args.max_iter, stall_tol=args.tol,
-                                       known_alpha=_alpha(args, g))
+            est = theta.minimize_theta(g, max_iter=args.max_iter, known_alpha=_alpha(args, g))
             write(json.dumps(est.to_json_dict()))
     return 0
 
@@ -268,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--named", choices=NAMED_GRAPHS, help="generate a named graph")
         p.add_argument("--n", type=int, help="order parameter for named families")
         p.add_argument("--k", type=int, help="subset size for kneser")
-        p.add_argument("--format", choices=("auto", "g6", "edges"), default="auto")
         p.add_argument("--output", help="write to a file instead of stdout")
 
     p = sub.add_parser("bounds", help="per-graph bound reports as JSON lines")
@@ -279,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theta", help="per-graph theta estimates as JSON lines")
     add_input(p)
-    p.add_argument("--tol", type=float, default=1e-6, help="stall tolerance")
     p.add_argument("--max-iter", type=int, default=5000, help="subgradient iterations, at least 1")
     p.add_argument("--alpha-oracle", action="store_true")
     p.set_defaults(func=cmd_theta)

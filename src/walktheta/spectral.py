@@ -10,7 +10,8 @@ import numpy as np
 from .reciprocal import IntervalMin, ReciprocalSum
 
 __all__ = [
-    "SpectralData", "eigh_checked", "check_eigenpairs", "eig_sym", "cluster_weights", "merge_terms", "walk_minimum",
+    "SpectralData", "eigh_checked", "check_eigenpairs", "eig_sym", "cluster_weights", "merge_terms",
+    "extreme_eigenspace", "walk_minimum",
 ]
 
 # Relative tolerances: eigensolver residual, eigenvalue clustering, the
@@ -79,7 +80,7 @@ def eigh_checked(m: np.ndarray) -> tuple:
 def check_eigenpairs(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
     """Frobenius norm of m; LinAlgError unless max|m vecs - vecs diag(vals)| <= 100 TOL_EIG norm n."""
     scale = float(np.linalg.norm(m))
-    resid = float(np.max(np.abs(m @ vecs - vecs * vals)))
+    resid = float(np.max(np.abs(m @ vecs - vecs * vals), initial=0.0))
     if scale > 0 and resid > 100 * TOL_EIG * scale * len(m):
         raise np.linalg.LinAlgError(
             f"eigendecomposition residual {resid:.3e} exceeds tolerance at scale {scale:.3e}"
@@ -128,8 +129,16 @@ def merge_terms(rates: list, weights: list, n: int, scale: float) -> ReciprocalS
     return ReciprocalSum(merged_weights, merged_rates, float(n))
 
 
-def walk_minimum(data: SpectralData, lo: float = -math.inf, hi: float = math.inf) -> IntervalMin:
-    """Minimum of `data.walk` on [lo, hi], clipped to the spectral interval [1/lam_min, 1/lam_max].
+def extreme_eigenspace(vals: np.ndarray, top: bool) -> slice:
+    """Columns of ascending `vals` within TOL_CLUSTER * max(1, |vals|) of the largest (top) or the smallest."""
+    tol = TOL_CLUSTER * max(1.0, float(np.linalg.norm(vals)))
+    if top:
+        return slice(int(np.searchsorted(vals, vals[-1] - tol)), len(vals))
+    return slice(0, int(np.searchsorted(vals, vals[0] + tol, side="right")))
+
+
+def walk_minimum(data: SpectralData, hi: float = math.inf) -> IntervalMin:
+    """Minimum of `data.walk` on the spectral interval [1/lam_min, 1/lam_max], cut off above at hi.
 
     The function is convex there, and endpoints sitting on poles are +inf
     walls. A numerically zero matrix yields value n at the infinite sentinel x.
@@ -137,7 +146,7 @@ def walk_minimum(data: SpectralData, lo: float = -math.inf, hi: float = math.inf
     """
     if data.norm <= ZERO_NORM:
         return IntervalMin(math.inf, data.walk.n_total, False, 0.0)
-    lo = max(lo, 1.0 / data.lam_min)
+    lo = 1.0 / data.lam_min
     hi = min(hi, 1.0 / data.lam_max)
     if lo > hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")

@@ -30,8 +30,14 @@ __all__ = [
 ]
 
 RESIDUAL_TOL = 1e-7
-# Subgradient descent stops once the best value improved by less than the
-# stall tolerance over this many iterations.
+# The product check: grid size per factor, random identity samples, and the
+# identity's relative tolerance.
+GRID = 8
+N_RANDOM = 50
+IDENTITY_TOL = 1e-8
+# Subgradient descent stops once the best value improved by less than
+# STALL_TOL over STALL_WINDOW iterations.
+STALL_TOL = 1e-6
 STALL_WINDOW = 200
 
 
@@ -42,7 +48,6 @@ class ThetaEstimate:
     weights: tuple          # edge weights achieving `upper`
     iterations: int
     converged: bool
-    history: tuple = ()     # best-so-far values, non-increasing
 
     def to_json_dict(self) -> dict:
         return {
@@ -67,10 +72,7 @@ class OptimizerVector:
 
 def _top_cluster(b: np.ndarray):
     vals, vecs, _ = spectral.eigh_checked(b)
-    top = vals[-1]
-    tol = spectral.TOL_CLUSTER * max(1.0, float(np.linalg.norm(vals)))
-    k = int(np.searchsorted(vals, top - tol))
-    return float(top), vecs[:, k:]
+    return float(vals[-1]), vecs[:, spectral.extreme_eigenspace(vals, top=True)]
 
 
 def _subgradient(rows: np.ndarray, cols: np.ndarray, b: np.ndarray):
@@ -82,7 +84,6 @@ def _subgradient(rows: np.ndarray, cols: np.ndarray, b: np.ndarray):
 def minimize_theta(
     g: Graph,
     max_iter: int = 5000,
-    stall_tol: float = 1e-6,
     init_weights=None,
     known_alpha: int = None,
 ) -> ThetaEstimate:
@@ -99,12 +100,12 @@ def minimize_theta(
     lower = None if known_alpha is None else float(known_alpha)
     if m == 0:
         upper = float(n)
-        return ThetaEstimate(upper, lower, (), 0, True, (upper,))
+        return ThetaEstimate(upper, lower, (), 0, True)
     w = np.ones(m) if init_weights is None else np.asarray(init_weights, dtype=float).copy()
     ones = np.ones((n, n))
     best_val = math.inf
     best_w = w.copy()
-    history = []
+    best_so_far = []
     step_c = None
     converged = False
     iterations = 0
@@ -114,7 +115,7 @@ def minimize_theta(
         if value < best_val:
             best_val = value
             best_w = w.copy()
-        history.append(best_val)
+        best_so_far.append(best_val)
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= 1e-14 * max(1.0, abs(value)):
             converged = True   # zero is a subgradient: w is optimal
@@ -122,7 +123,7 @@ def minimize_theta(
         if step_c is None:
             step_c = n / gnorm
         w = w - (step_c / math.sqrt(k)) * grad
-        if k >= STALL_WINDOW and history[-STALL_WINDOW] - best_val < stall_tol:
+        if k >= STALL_WINDOW and best_so_far[-STALL_WINDOW] - best_val < STALL_TOL:
             converged = True
             break
     w_init = np.ones(m) if init_weights is None else np.asarray(init_weights, dtype=float)
@@ -134,14 +135,12 @@ def minimize_theta(
         if value < best_val:
             best_val = value
             best_w = t * ray
-            history.append(best_val)
     return ThetaEstimate(
         upper=float(best_val),
         lower=lower,
         weights=tuple(float(x) for x in best_w),
         iterations=iterations,
         converged=converged,
-        history=tuple(history),
     )
 
 
@@ -178,16 +177,15 @@ def extract_optimizer(a: np.ndarray) -> OptimizerVector:
         v = np.linalg.solve(np.eye(n) - y * a, np.ones(n))
         return _certify(v, a, opt.value)
     vals, vecs = data.eigenvalues, data.eigenvectors
-    lam_end = data.lam_min if y < 0 else data.lam_max
-    tol = spectral.TOL_CLUSTER * max(1.0, float(np.linalg.norm(vals)))
-    in_cluster = np.abs(vals - lam_end) <= tol
-    overlaps = np.ones(n) @ vecs
-    denom = np.where(in_cluster, 1.0, 1.0 - vals * y)
-    coeff = np.where(in_cluster, 0.0, overlaps / denom)
+    cluster = spectral.extreme_eigenspace(vals, top=y > 0)
+    denom = 1.0 - vals * y
+    denom[cluster] = 1.0
+    coeff = (np.ones(n) @ vecs) / denom
+    coeff[cluster] = 0.0
     v = vecs @ coeff
     # at an endpoint minimum derivative_at_x is W'(y), evaluated at y itself
     kick = math.sqrt(max(0.0, -y * opt.derivative_at_x))
-    v = v + kick * vecs[:, int(np.argmax(in_cluster))]
+    v = v + kick * vecs[:, cluster.start]
     return _certify(v, a, opt.value)
 
 
@@ -265,7 +263,7 @@ def _valid_gamma_samples(data: spectral.SpectralData, k: int, rng: np.random.Gen
     """Gammas of the form -1/x for x inside the spectral interval (always valid)."""
     if data.norm <= spectral.ZERO_NORM:
         if rng is None:
-            return [1.0, -1.0][: max(1, k)] if k <= 2 else [1.0, -1.0] + list(np.linspace(0.5, 2.0, k - 2))
+            return [1.0, -1.0] + list(np.linspace(0.5, 2.0, k - 2))
         return list(rng.uniform(0.5, 2.0, size=k))
     lo, hi = 1.0 / data.lam_min, 1.0 / data.lam_max
     width = hi - lo
@@ -277,7 +275,7 @@ def _valid_gamma_samples(data: spectral.SpectralData, k: int, rng: np.random.Gen
         ])
         xs = [float(x) for x in grid]
         x_star = spectral.walk_minimum(data).x_star
-        if math.isfinite(x_star) and abs(x_star) > 1e-6 * width:
+        if abs(x_star) > 1e-6 * width:
             xs.append(x_star)
     else:
         while len(xs) < k:
@@ -287,21 +285,14 @@ def _valid_gamma_samples(data: spectral.SpectralData, k: int, rng: np.random.Gen
     return [-1.0 / x for x in xs]
 
 
-def submultiplicativity_check(
-    g: Graph,
-    h: Graph,
-    grid: int = 8,
-    n_random: int = 50,
-    identity_tol: float = 1e-8,
-    seed: int = 0,
-) -> tuple:
+def submultiplicativity_check(g: Graph, h: Graph, seed: int = 0) -> tuple:
     """Compare the product graph's family bound against the factor bounds.
 
     lhs: the walk-sum interval minimum of the product adjacency, minimized
-    over a grid of valid shift pairs. rhs: product of the factors' interval
-    minima. Also checks the factorization identity
+    over a grid of valid shift pairs, at least GRID per factor. rhs: product
+    of the factors' interval minima. Also checks the factorization identity
     W_product(-1/(gamma_g*gamma_h)) = W_g(-1/gamma_g) * W_h(-1/gamma_h)
-    at `n_random` random valid shift pairs, the left sides by one batched
+    at N_RANDOM random valid shift pairs, the left sides by one batched
     solve of its definition. Only the factors are decomposed: each grid
     product's walk function pairs the factors' walk terms, and the product
     eigenpairs u (x) v must pass the residual check against the product
@@ -314,21 +305,20 @@ def submultiplicativity_check(
         return _shifted_product(a_g, data_g, gg, a_h, data_h, gh)
 
     rhs = spectral.walk_minimum(data_g).value * spectral.walk_minimum(data_h).value
-    grid_h = _valid_gamma_samples(data_h, grid)
-    points = [(gg, gh) for gg in _valid_gamma_samples(data_g, grid) for gh in grid_h if abs(gg * gh) >= 1e-12]
+    grid_h = _valid_gamma_samples(data_h, GRID)
+    points = [(gg, gh) for gg in _valid_gamma_samples(data_g, GRID) for gh in grid_h]
     values = [spectral.walk_minimum(_product_walk(data_g, gg, data_h, gh)).value for gg, gh in points]
-    lhs = min(values, default=math.inf)
-    if points:
-        gg, gh = points[values.index(lhs)]
-        spectral.check_eigenpairs(product(gg, gh), *_product_spectrum(data_g, gg, data_h, gh))
+    lhs = min(values)
+    gg, gh = points[values.index(lhs)]
+    spectral.check_eigenpairs(product(gg, gh), *_product_spectrum(data_g, gg, data_h, gh))
     rng = np.random.default_rng(seed)
-    samples_g = _valid_gamma_samples(data_g, n_random, rng)
-    samples_h = _valid_gamma_samples(data_h, n_random, rng)
+    samples_g = _valid_gamma_samples(data_g, N_RANDOM, rng)
+    samples_h = _valid_gamma_samples(data_h, N_RANDOM, rng)
     xs = [-1.0 / (gg * gh) for gg, gh in zip(samples_g, samples_h)]
     lefts = _walk_value(product(samples_g, samples_h), xs).tolist()
     for gg, gh, left in zip(samples_g, samples_h, lefts):
         right = data_g.walk.value(-1.0 / gg) * data_h.walk.value(-1.0 / gh)
-        if abs(left - right) > identity_tol * (1.0 + abs(right)):
+        if abs(left - right) > IDENTITY_TOL * (1.0 + abs(right)):
             raise AssertionError(f"factorization identity failed at gammas ({gg}, {gh}): "
                                  f"{left} vs {right}")
     ok = lhs <= rhs + 1e-6

@@ -178,10 +178,8 @@ def test_criterion_09_submultiplicativity():
                  ("C7", "K2"), ("P5", "P5"), ("empty3", "K2"), ("empty3", "empty6"),
                  ("C4", "C4"), ("star4", "P3")]
         for a, b in pairs:
-            # the identity is verified inside at 50 random valid gamma pairs
-            lhs, rhs, ok = submultiplicativity_check(
-                fixtures[a], fixtures[b], n_random=50, identity_tol=1e-8, seed=109
-            )
+            # the identity is verified inside at theta.N_RANDOM = 50 random valid gamma pairs
+            lhs, rhs, ok = submultiplicativity_check(fixtures[a], fixtures[b], seed=109)
             assert ok and lhs <= rhs + 1e-6, (a, b, lhs, rhs)
 
         c5 = fixtures["C5"]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -78,8 +79,7 @@ def test_theta_complete(capsys):
 
 
 def test_theta_cycle_with_alpha(capsys):
-    code, out, _ = run_cli(capsys, "theta", "--named", "cycle", "--n", "5",
-                           "--tol", "1e-3", "--alpha-oracle")
+    code, out, _ = run_cli(capsys, "theta", "--named", "cycle", "--n", "5", "--alpha-oracle")
     assert code == 0
     payload = json.loads(out.strip())
     assert payload["upper"] == pytest.approx(math.sqrt(5.0), abs=1e-3)
@@ -351,11 +351,32 @@ def test_plot_too_few_samples_is_usage_error(capsys):
 
 
 def test_removed_flags_are_rejected(capsys):
-    for argv in (["bounds", "--named", "golomb", "--jobs", "2"],
-                 ["theta", "--named", "golomb", "--seed", "1"]):
+    argvs = [["bounds", "--named", "golomb", "--jobs", "2"],
+             ["theta", "--named", "golomb", "--seed", "1"],
+             ["theta", "--named", "cycle", "--n", "5", "--tol", "1e-3"]]
+    argvs += [[*command, "--named", "golomb", "--format", "g6"]
+              for command in (["bounds"], ["theta"], ["verify", "dominance"], ["plot"])]
+    for argv in argvs:
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2
+        assert exc.value.code == 2, argv
+        assert argv[-2] in capsys.readouterr().err
+
+
+def test_option_census():
+    """Every settable option of each subcommand; a new option must change this list."""
+    subcommands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    census = {name: sorted(s for a in p._actions if not isinstance(a, argparse._HelpAction)
+                           for s in a.option_strings or [a.dest])
+              for name, p in subcommands.choices.items()}
+    common = ["--k", "--n", "--named", "--output", "input"]
+    assert census == {
+        "bounds": sorted(common + ["--alpha-oracle"]),
+        "theta": sorted(common + ["--alpha-oracle", "--max-iter"]),
+        "verify": sorted(common + ["--random", "--seed", "suite"]),
+        "plot": sorted(common + ["--hi", "--lo", "--samples"]),
+    }
+    assert sum(map(len, census.values())) == 29
 
 
 @pytest.mark.parametrize("argv", [["bounds"], ["theta"], ["plot"], ["verify", "dominance"]])
@@ -395,10 +416,13 @@ def test_theta_max_iter_below_one_is_usage_error(capsys, max_iter):
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_theta_tol_not_finite_and_nonnegative_is_usage_error(capsys, tol):
-    code, out, err = run_cli(capsys, "theta", "--named", "cycle", "--n", "5", "--tol", tol)
-    assert code == 2
-    assert out == ""
-    assert "--tol" in err
+    # --tol is no option (the stall tolerance is theta.STALL_TOL), so any value is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["theta", "--named", "cycle", "--n", "5", "--tol", tol])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--tol" in captured.err
 
 
 @pytest.mark.parametrize("params,unused", [(["--named", "petersen", "--n", "99"], "parameter n"),

@@ -183,6 +183,24 @@ def test_eigh_checked_returns_the_norm_eig_sym_keeps():
     assert np.array_equal(vals, data.eigenvalues) and np.array_equal(vecs, data.eigenvectors)
 
 
+@pytest.mark.parametrize("top", [True, False])
+def test_extreme_eigenspace_is_the_band_at_its_end(corpus, top):
+    """The columns within TOL_CLUSTER * max(1, |vals|) of the extreme, as a distance mask finds them."""
+    rng = np.random.default_rng(5)
+    matrices = [adjacency(g) for _, g in corpus if g.n]
+    matrices.append(np.ones((10, 10)) - 2.0 * adjacency(generate_named("petersen")))   # top multiplicity 5
+    for _ in range(20):
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        vals = np.repeat(rng.standard_normal(4), 2) + rng.uniform(-1e-8, 1e-8, size=8)
+        matrices.append((q * vals) @ q.T)
+    for m in matrices:
+        vals = eigh_checked((m + m.T) / 2)[0]
+        tol = spectral.TOL_CLUSTER * max(1.0, float(np.linalg.norm(vals)))
+        end = vals[-1] if top else vals[0]
+        cols = spectral.extreme_eigenspace(vals, top)
+        assert np.array_equal(np.arange(len(vals))[cols], np.flatnonzero(np.abs(vals - end) <= tol))
+
+
 def test_empty_matrix():
     data = eig_sym(np.zeros((0, 0)))
     assert data.n == 0 and rate_weight_pairs(data) == ()

@@ -115,8 +115,8 @@ def test_minimize_theta_edgeless():
 def test_minimize_theta_monotone_history_and_soundness():
     g = generate_named("golomb")
     est = minimize_theta(g, known_alpha=independence_number(g))
-    hist = est.history
-    assert all(a >= b for a, b in zip(hist, hist[1:]))
+    # the best value seen only decreases: no worse than the first iterate, at all-ones weights
+    assert est.upper <= np.linalg.eigvalsh(np.ones((g.n, g.n)) - adjacency(g))[-1]
     assert est.upper >= est.lower - 1e-7
     assert est.upper <= g.n
 
@@ -362,6 +362,21 @@ def test_submultiplicativity_fixtures():
     assert ok and lhs == pytest.approx(6.0) and rhs == pytest.approx(6.0)
 
 
+@pytest.mark.parametrize("pair", [(0, 3), (3, 0), (0, 0)])
+def test_submultiplicativity_with_a_zero_vertex_factor(pair):
+    g, h = (Graph(0) if n == 0 else generate_named("path", n=n) for n in pair)
+    assert submultiplicativity_check(g, h) == (0.0, 0.0, True)
+
+
+def test_grid_gammas_are_bounded_away_from_zero(corpus):
+    """|gamma| >= 1 with an edge (lam_max >= 1, lam_min <= -1), >= 0.5 without: no grid product vanishes."""
+    for name, g in corpus:
+        data = eig_sym(adjacency(g))
+        gammas = theta._valid_gamma_samples(data, theta.GRID)
+        assert len(gammas) >= theta.GRID, name
+        assert min(map(abs, gammas)) >= (1.0 if g.edges else 0.5), name
+
+
 def test_theta_estimate_c5_product_sandwich():
     c5 = generate_named("cycle", n=5)
     product = strong_product(c5, c5)
@@ -388,7 +403,7 @@ def test_extract_optimizer_decomposes_once(eig_calls):
 
 def test_submultiplicativity_decomposes_each_factor_once(eig_calls):
     g, h = generate_named("cycle", n=5), generate_named("path", n=3)
-    submultiplicativity_check(g, h, grid=4, n_random=5)
+    submultiplicativity_check(g, h)
     factors = [m for m in eig_calls if m.shape != (15, 15)]
     assert len(factors) == 2
     assert np.array_equal(factors[0], adjacency(g))
@@ -403,7 +418,7 @@ def test_submultiplicativity_reads_product_eigenvectors_once(monkeypatch):
     real = theta._product_spectrum
     monkeypatch.setattr(theta, "_product_spectrum", lambda *args: calls.append(args) or real(*args))
     g, h = generate_named("cycle", n=5), generate_named("path", n=3)
-    lhs, _, _ = submultiplicativity_check(g, h, grid=4, n_random=5)
+    lhs, _, _ = submultiplicativity_check(g, h)
     assert len(calls) == 1
     data_g, gg, data_h, gh = calls[0]
     assert theta._product_walk(data_g, gg, data_h, gh) == theta._product_walk(eig_sym(adjacency(g)), gg,
@@ -416,8 +431,7 @@ def test_submultiplicativity_builds_product_graph_once(monkeypatch):
     built = []
     real = graphs.strong_product
     monkeypatch.setattr(graphs, "strong_product", lambda g, h: built.append(1) or real(g, h))
-    submultiplicativity_check(generate_named("cycle", n=5), generate_named("path", n=3),
-                              grid=4, n_random=5)
+    submultiplicativity_check(generate_named("cycle", n=5), generate_named("path", n=3))
     assert len(built) == 0
 
 
@@ -510,14 +524,15 @@ def test_batched_identity_equals_per_sample_solves_on_verify_pairs(corpus):
             assert batched[k] == theta._walk_value(single, x), (na, nb, k)
 
 
-def test_failed_identity_names_the_first_sample(corpus):
+def test_failed_identity_names_the_first_sample(corpus, monkeypatch):
     graphs = dict(corpus)
     p5, c5 = graphs["P5"], graphs["C5"]
     rng = np.random.default_rng(7)
-    gg = theta._valid_gamma_samples(eig_sym(adjacency(p5)), 50, rng)[0]
-    gh = theta._valid_gamma_samples(eig_sym(adjacency(c5)), 50, rng)[0]
+    gg = theta._valid_gamma_samples(eig_sym(adjacency(p5)), theta.N_RANDOM, rng)[0]
+    gh = theta._valid_gamma_samples(eig_sym(adjacency(c5)), theta.N_RANDOM, rng)[0]
+    monkeypatch.setattr(theta, "IDENTITY_TOL", -1.0)
     with pytest.raises(AssertionError, match=re.escape(f"failed at gammas ({gg}, {gh}): ")):
-        submultiplicativity_check(p5, c5, seed=7, identity_tol=-1.0)
+        submultiplicativity_check(p5, c5, seed=7)
 
 
 # --- the shifted product, built without a mask ---

@@ -74,19 +74,19 @@ def test_minimize_zero_matrix_sentinel():
 
 def test_subinterval_c5():
     data = eig_sym(adjacency(generate_named("cycle", n=5)))
-    opt = walk_minimum(data, 1.0 / data.lam_min, 0.0)
+    opt = walk_minimum(data, hi=0.0)
     assert opt.value == pytest.approx(SQRT5, abs=1e-12)
 
 
 def test_subinterval_p17_is_nine():
     data = eig_sym(adjacency(generate_named("path", n=17)))
-    opt = walk_minimum(data, 1.0 / data.lam_min, 0.0)
+    opt = walk_minimum(data, hi=0.0)
     assert opt.value == pytest.approx(9.0, abs=1e-6)
     assert not opt.at_endpoint
 
 
 def test_subinterval_zero_matrix():
-    opt = walk_minimum(eig_sym(np.zeros((5, 5))), -1.0, 1.0)
+    opt = walk_minimum(eig_sym(np.zeros((5, 5))), hi=1.0)
     assert opt.value == 5.0
 
 
