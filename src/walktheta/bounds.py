@@ -70,7 +70,7 @@ def _closed_form(data: spectral.SpectralData) -> tuple:
 
 def laplacian_bound(g: Graph) -> float:
     """n * (1 - min_degree / lam_max(L)); edgeless graphs give the trivial n."""
-    if not g.edges:
+    if not g.num_edges:
         return float(g.n)
     mu1 = float(spectral.eigh_checked(laplacian(g))[0][-1])   # checked, not clustered
     return float(g.n * (1.0 - min_degree(g) / mu1))
@@ -84,7 +84,7 @@ def report(g: Graph, known_alpha: int = None) -> BoundReport:
     adjacency matrix is decomposed once and shared by the walkgen, ratio and
     closed-form bounds; the Laplacian is decomposed and checked, not clustered.
     """
-    if g.edges:
+    if g.num_edges:
         data = spectral.eig_sym(adjacency(g))
         wg = spectral.walk_minimum(data, hi=0.0).value
         hoff = _hoffman(data) if g.is_regular() else None

@@ -53,21 +53,20 @@ def _read_graphs(args):
             raw = fh.read()
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror}") from exc
-    text = raw.decode("ascii", errors="replace")
-    if text.lstrip()[:1].isdigit():
+    if raw.lstrip()[:1].isdigit():
         try:
-            return [parse_edge_list(text)]
+            return [parse_edge_list(raw.decode("ascii", errors="replace"))]
         except ValueError as exc:
             raise InputError(f"{path}:1: {exc}") from exc
-    return _parse_graph6_lines(path, text)
+    return _parse_graph6_lines(path, raw)
 
 
-def _parse_graph6_lines(path: str, text: str):
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _parse_graph6_lines(path: str, raw: bytes):
+    for lineno, line in enumerate(raw.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            yield parse_graph6(line.strip())
+            yield parse_graph6(line)
         except Graph6ParseError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
 
@@ -229,7 +228,7 @@ def cmd_plot(args) -> int:
     g = graphs[0]
     data = spectral.eig_sym(adjacency(g))
     lines = []
-    if g.edges:
+    if g.num_edges:
         lo_mark, hi_mark = 1.0 / data.lam_min, 1.0 / data.lam_max
         lines.append("# lam_min_inv,%.12g" % lo_mark)
         lines.append("# lam_max_inv,%.12g" % hi_mark)

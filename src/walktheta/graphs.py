@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -30,25 +30,23 @@ class Graph6ParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph on vertices 0..n-1 with an unordered edge set.
+    """Immutable simple graph on vertices 0..n-1, stored as its edge index.
 
-    `edges` may be given as any iterable of vertex pairs or as an (m, 2) int
-    array; reversed and repeated pairs collapse. Construction derives the
-    edge index once: int arrays `rows` and `cols` with rows[k] < cols[k], in
-    sorted order. Every matrix view and every edge-weight vector follows it.
+    The index is a pair of read-only intp arrays `rows` and `cols` with
+    rows[k] < cols[k], in sorted order; every matrix view and every
+    edge-weight vector follows it. The constructor's `edges` may be any
+    iterable of vertex pairs or an (m, 2) int array; reversed and repeated
+    pairs collapse. The attribute `edges`, the frozenset of pairs (i, j)
+    with i < j, is built on first use. `==` and `hash` mean the same n and
+    the same edge set.
     """
 
-    n: int
-    edges: frozenset = field(default_factory=frozenset)
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
-    cols: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("n", "rows", "cols", "_edges")
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {self.n}")
-        edges = self.edges
+    def __init__(self, n: int, edges=()):
+        if n < 0:
+            raise ValueError(f"vertex count must be >= 0, got {n}")
         pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.intp)
         if pairs.size and (pairs.ndim != 2 or pairs.shape[1] != 2):
             raise ValueError(f"edges must be vertex pairs, got shape {pairs.shape}")
@@ -57,19 +55,53 @@ class Graph:
         loops = lo == hi
         if loops.any():
             raise ValueError(f"self-loop at vertex {lo[loops][0]}")
-        outside = (lo < 0) | (hi >= self.n)
+        outside = (lo < 0) | (hi >= n)
         if outside.any():
             k = np.flatnonzero(outside)[0]
-            raise ValueError(f"edge {(int(i[k]), int(j[k]))} has endpoint outside [0, {self.n})")
+            raise ValueError(f"edge {(int(i[k]), int(j[k]))} has endpoint outside [0, {n})")
         # one sort of the keys lo * n + hi, then repeated pairs dropped
-        base = max(self.n, 1)
+        base = max(n, 1)
         key = np.sort(lo * base + hi)
         first = np.ones(len(key), dtype=bool)
         first[1:] = key[1:] != key[:-1]
-        rows, cols = np.divmod(key[first], base)
-        object.__setattr__(self, "edges", frozenset(zip(rows.tolist(), cols.tolist())))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+        self._set_index(n, *np.divmod(key[first], base))
+
+    @classmethod
+    def _from_index(cls, n: int, rows: np.ndarray, cols: np.ndarray) -> "Graph":
+        """A graph on an edge index already canonical: intp arrays, rows < cols, sorted."""
+        g = cls.__new__(cls)
+        g._set_index(n, rows, cols)
+        return g
+
+    def _set_index(self, n: int, rows: np.ndarray, cols: np.ndarray) -> None:
+        rows.flags.writeable = cols.flags.writeable = False
+        for name, value in (("n", n), ("rows", rows), ("cols", cols), ("_edges", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Graph is immutable; cannot set {name!r}")
+
+    def __reduce__(self):       # pickle and copy rebuild through the index, not __setattr__
+        return Graph._from_index, (self.n, self.rows, self.cols)
+
+    @property
+    def edges(self) -> frozenset:
+        if self._edges is None:
+            object.__setattr__(self, "_edges", frozenset(zip(self.rows.tolist(), self.cols.tolist())))
+        return self._edges
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        # both indexes are canonical, so equal arrays mean equal edge sets
+        return (self.n == other.n and np.array_equal(self.rows, other.rows)
+                and np.array_equal(self.cols, other.cols))
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __repr__(self):
+        return f"Graph(n={self.n}, edges={sorted(self.edges)})"
 
     @property
     def num_edges(self) -> int:
@@ -82,7 +114,7 @@ class Graph:
         return (min(i, j), max(i, j)) in self.edges
 
     def add_isolated_vertex(self) -> "Graph":
-        return Graph(self.n + 1, self.edges)
+        return Graph._from_index(self.n + 1, self.rows, self.cols)
 
     def is_regular(self) -> bool:
         deg = self.degrees()
@@ -100,14 +132,32 @@ def _body_length(n: int) -> int:
     return (n * (n - 1) // 2 + 5) // 6
 
 
+def _pair_index(n: int) -> tuple:
+    """The pairs i < j in row-major order, as (rows, cols), and each pair's bit in graph6's column order."""
+    rows, cols = np.triu_indices(n, 1)
+    index = rows, cols, cols * (cols - 1) // 2 + rows
+    for a in index:
+        a.flags.writeable = False
+    return index
+
+
+# Memoised for short-form sizes only: 63 entries at most, so long-form input
+# keeps no index once parsed.
+_short_pair_index = lru_cache(maxsize=None)(_pair_index)
+
+
 def parse_graph6(data) -> Graph:
     """Decode one graph6 line: short form (n <= 62) or 18-bit long form ('~', n <= 258047).
 
-    Accepts bytes or str, with an optional '>>graph6<<' prefix. The 36-bit
-    form ('~~') is rejected.
+    Accepts bytes or an ASCII str, with an optional '>>graph6<<' prefix. The
+    36-bit form ('~~') is rejected. A str's first non-ASCII character is a
+    defect at its character offset.
     """
     if isinstance(data, str):
-        data = data.encode("ascii", errors="replace")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6ParseError(f"non-ASCII character {data[exc.start]!r}", exc.start) from None
     data = data.strip()
     if data.startswith(b">>graph6<<"):
         data = data[len(b">>graph6<<"):]
@@ -134,10 +184,10 @@ def parse_graph6(data) -> Graph:
     if len(body) > need:
         raise Graph6ParseError("trailing garbage after graph6 data", header + need)
     # six bits per byte, high bit first, over the pairs i < j column by column
-    bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()[: n * (n - 1) // 2]
-    j, i = np.nonzero(np.tri(n, k=-1, dtype=bool))   # the np.tril_indices(n, -1) arrays, faster
-    hit = bits.astype(bool)
-    return Graph(n, np.column_stack([i[hit], j[hit]]))
+    bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel().view(bool)
+    rows, cols, position = (_short_pair_index if n <= SHORT_FORM_MAX_N else _pair_index)(n)
+    hit = bits[position]
+    return Graph._from_index(n, rows[hit], cols[hit])
 
 
 def encode_graph6(g: Graph) -> bytes:

@@ -15,7 +15,7 @@ def max_independent_set(g: Graph) -> list:
     """
     n = g.n
     closed = [1 << i for i in range(n)]  # vertex plus its neighborhood
-    for i, j in g.edges:
+    for i, j in zip(g.rows.tolist(), g.cols.tolist()):
         closed[i] |= 1 << j
         closed[j] |= 1 << i
 

@@ -12,7 +12,7 @@ import pytest
 from walktheta import cli, reciprocal, theta
 from walktheta.cli import main
 from walktheta.corpus import fixture_graphs, random_weighted
-from walktheta.graphs import adjacency, encode_graph6, generate_named
+from walktheta.graphs import Graph, adjacency, encode_graph6, generate_named
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +60,31 @@ def test_parse_error_reports_location(capsys, tmp_path):
     code, out, err = run_cli(capsys, "bounds", str(bad))
     assert code == 2
     assert f"{bad}:2:" in err
+
+
+def test_non_ascii_graph6_byte_exits_2(capsys, tmp_path):
+    bad = tmp_path / "f.g6"
+    bad.write_bytes(b"A\xc3\n")    # not an edgeless K2: 0xc3 is no graph6 byte
+    code, out, err = run_cli(capsys, "bounds", str(bad))
+    assert code == 2 and out == ""
+    assert f"{bad}:1:" in err and "offset 1" in err
+
+
+def test_bounds_and_verify_never_build_the_edge_set(capsys, tmp_path, monkeypatch):
+    corpus = tmp_path / "c.g6"
+    graphs = [generate_named("cycle", n=5), generate_named("golomb"), generate_named("empty", n=3)]
+    corpus.write_bytes(b"".join(encode_graph6(g) + b"\n" for g in graphs))
+    argvs = [["bounds", str(corpus)], ["bounds", str(corpus), "--alpha-oracle"],
+             ["verify", "all", str(corpus), "--random", "3"]]
+    expected = [run_cli(capsys, *argv) for argv in argvs]
+
+    def no_edges(self):
+        raise AssertionError("edge set built")
+
+    monkeypatch.setattr(Graph, "edges", property(no_edges))
+    for argv, before in zip(argvs, expected):
+        assert run_cli(capsys, *argv) == before
+        assert before[0] == 0
 
 
 def test_edge_list_autodetect(capsys, tmp_path):

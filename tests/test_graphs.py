@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -52,6 +54,14 @@ def test_parse_graph6_cross_checked_against_networkx():
 
 def test_parse_graph6_accepts_header_and_str():
     assert parse_graph6(">>graph6<<A_") == parse_graph6(b"A_")
+
+
+def test_parse_graph6_rejects_non_ascii_str():
+    # read as '?' by a replacing encoder, the line would be an edgeless K2
+    for data in ("A\xc3", b"A\xc3"):
+        with pytest.raises(Graph6ParseError) as exc:
+            parse_graph6(data)
+        assert exc.value.offset == 1
 
 
 def test_parse_graph6_errors_carry_offsets():
@@ -131,7 +141,13 @@ def test_graph6_round_trip_matches_networkx(case):
     n, pairs = case
     g = Graph(n, pairs)
     line = encode_graph6(g)
-    assert parse_graph6(line) == g
+    parsed = parse_graph6(line)
+    assert parsed == g and hash(parsed) == hash(g)
+    for ours, canonical in ((parsed.rows, g.rows), (parsed.cols, g.cols)):
+        assert ours.dtype == canonical.dtype == np.intp
+        assert np.array_equal(ours, canonical)
+    assert parsed.edges == g.edges
+    assert parsed.add_isolated_vertex() == Graph(n + 1, pairs)
     theirs = nx.from_graph6_bytes(line)
     assert theirs.number_of_nodes() == n
     assert {(min(u, v), max(u, v)) for u, v in theirs.edges()} == g.edges
@@ -214,6 +230,15 @@ def test_graph_validation():
         Graph(2, frozenset({(0, 3)}))
     # unordered pairs canonicalize
     assert Graph(3, frozenset({(2, 0)})).edges == frozenset({(0, 2)})
+
+
+def test_graph_is_immutable_and_copies():
+    g = parse_graph6(b"A_")
+    with pytest.raises(AttributeError):
+        g.n = 3
+    with pytest.raises(ValueError):
+        g.rows[0] = 1
+    assert pickle.loads(pickle.dumps(g)) == copy.deepcopy(g) == g
 
 
 def test_graph_rejects_non_pairs():

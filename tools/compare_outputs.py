@@ -20,14 +20,19 @@ import tempfile
 from pathlib import Path
 
 WRITE_INPUTS = """import pathlib, sys, inputs
+import numpy as np
 for s in (1, 2, 13):
     inputs.write_lines(pathlib.Path(sys.argv[1], f"bounds{s}.g6"), inputs.bounds_corpus(s)[0])
 for s in (1, 2):
     lines = [inputs.encode_graph6(g).decode("ascii") for g in inputs.theta_mix(s)]
     inputs.write_lines(pathlib.Path(sys.argv[1], f"theta{s}.g6"), lines)
+long_form = [inputs.generate_named("kneser", n=12, k=2), inputs.gnp(np.random.default_rng(5), 70, .3)]
+inputs.write_lines(pathlib.Path(sys.argv[1], "long.g6"),
+                   [inputs.encode_graph6(g).decode("ascii") for g in long_form])
 """
 NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 CASES = [[f"bounds{s}", "bounds", f"bounds{s}.g6"] for s in (1, 2, 13)]
+CASES += [["bounds-long", "bounds", "long.g6"]]    # graph6 long form: Kneser(12,2), n = 66, and G(70, .3)
 CASES += [[f"theta{s}", "theta", f"theta{s}.g6", "--max-iter", "400"] for s in (1, 2)]
 # seed 203 fails a scaling and an optimizer case (ROADMAP item 4): exit 1 on both sides
 CASES += [[f"verify{s}", "verify", "all", "--random", "500", "--seed", str(s)] for s in (1, 2, 203)]
