@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theta", help="per-graph theta estimates as JSON lines")
     add_input(p)
-    p.add_argument("--max-iter", type=int, default=5000, help="subgradient iterations, at least 1")
+    p.add_argument("--max-iter", type=int, default=5000, help="ADMM iterations, at least 1")
     p.add_argument("--alpha-oracle", action="store_true")
     p.set_defaults(func=cmd_theta)
 

@@ -10,8 +10,8 @@ import numpy as np
 from .reciprocal import IntervalMin, ReciprocalSum
 
 __all__ = [
-    "SpectralData", "eigh_checked", "check_eigenpairs", "eig_sym", "cluster_weights", "merge_terms",
-    "extreme_eigenspace", "walk_minimum",
+    "SpectralData", "eigh_checked", "check_eigenpairs", "lambda_max_upper", "eig_sym", "cluster_weights",
+    "merge_terms", "extreme_eigenspace", "walk_minimum",
 ]
 
 # Relative tolerances: eigensolver residual, eigenvalue clustering, the
@@ -86,6 +86,32 @@ def check_eigenpairs(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float
             f"eigendecomposition residual {resid:.3e} exceeds tolerance at scale {scale:.3e}"
         )
     return scale
+
+
+def lambda_max_upper(m: np.ndarray) -> float:
+    """A float u >= lambda_max(m) of an exactly symmetric m, proved by a floating Cholesky of uI - m.
+
+    u is eigvalsh's lambda_max plus delta = 8 n eps max(1, |lambda_max|), doubled until the Cholesky of
+    (u - c)I - m succeeds; c = 2 gamma_{n+1}/(1 - gamma_{n+1}) tr(uI - m), gamma_k = k eps/(1 - k eps), is
+    Rump's sufficient shift (BIT 46:433, 2006), doubled to cover the rounding of the diagonal, with eps
+    (TOL_ZERO) twice the unit roundoff. Raises LinAlgError when 64 tries certify no u.
+    """
+    m = np.asarray(m, dtype=float)
+    if not np.array_equal(m, m.T):
+        raise ValueError("matrix is not exactly symmetric")
+    n, lam, shifted = len(m), float(np.linalg.eigvalsh(m)[-1]), -m
+    gamma = (n + 1) * TOL_ZERO / (1.0 - (n + 1) * TOL_ZERO)
+    delta = 8 * n * TOL_ZERO * max(1.0, abs(lam))
+    for _ in range(64):
+        u, delta = lam + delta, 2.0 * delta
+        diag = u - np.diag(m)
+        shifted[range(n), range(n)] = diag - 2.0 * gamma / (1.0 - gamma) * math.fsum(diag.tolist())
+        try:
+            np.linalg.cholesky(shifted)
+            return u
+        except np.linalg.LinAlgError:
+            continue
+    raise np.linalg.LinAlgError(f"no certified upper bound on lambda_max near {lam!r}")
 
 
 def eig_sym(m: np.ndarray) -> SpectralData:

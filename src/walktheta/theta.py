@@ -1,12 +1,9 @@
-"""Theta-number estimation via eigenvalue minimization over weighted adjacencies.
+"""Theta by the Lovasz semidefinite program, and the walk-function scaling tools.
 
-The estimate minimizes lambda_max(J - A) over symmetric matrices A supported
-on the edges, which upper-bounds the independence number for every feasible
-A. For a fixed A, min_t lambda_max(J - tA) equals the interval minimum of the
-walk-generating function, so the polish along the scaling ray reads off the
-walk-function minimum instead of searching over t; the optimizer vector
-extraction turns that minimum into a certified point on the sphere
-<1, v> = |v|^2 with <v, A v> = 0.
+`minimize_theta` brackets theta by dual ADMM, both ends certified. For a
+fixed A, min_t lambda_max(J - tA) equals the interval minimum of the
+walk-generating function (`optimal_scaling`); `extract_optimizer` turns that
+minimum into a certified point on the sphere <1, v> = |v|^2 with <v, A v> = 0.
 """
 
 from __future__ import annotations
@@ -35,23 +32,26 @@ RESIDUAL_TOL = 1e-7
 GRID = 8
 N_RANDOM = 50
 IDENTITY_TOL = 1e-8
-# Subgradient descent stops once the best value improved by less than
-# STALL_TOL over STALL_WINDOW iterations.
-STALL_TOL = 1e-6
-STALL_WINDOW = 200
+# The theta ADMM: penalty, iterations between certified brackets, and the
+# relative gap (upper - certified_lower) / upper at which it stops.
+MU = 30.0
+CHECK_EVERY = 10
+GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class ThetaEstimate:
-    upper: float
+    upper: float            # certified: theta <= upper
+    certified_lower: float  # certified: certified_lower <= theta
     lower: float            # the known independence number, when supplied
-    weights: tuple          # edge weights achieving `upper`
+    weights: tuple          # edge weights w with lambda_max(J - A(w)) <= upper
     iterations: int
-    converged: bool
+    converged: bool         # the relative gap closed to GAP_TOL
 
     def to_json_dict(self) -> dict:
         return {
             "upper": self.upper,
+            "certified_lower": self.certified_lower,
             "lower": self.lower,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -70,78 +70,51 @@ class OptimizerVector:
     walk_min: float         # the interval minimum W(x*); n for a zero matrix
 
 
-def _top_cluster(b: np.ndarray):
-    vals, vecs, _ = spectral.eigh_checked(b)
-    return float(vals[-1]), vecs[:, spectral.extreme_eigenspace(vals, top=True)]
+def _certified_lower(g: Graph, x: np.ndarray) -> float:
+    """A float <= <J, Y> for the feasible Y = (X~ + sI) / tr(X~ + sI), X~ = x symmetrised and zeroed on the edges.
 
-
-def _subgradient(rows: np.ndarray, cols: np.ndarray, b: np.ndarray):
-    """lambda_max(b) and the gradient over the edges (rows, cols) of the averaged top eigenspace."""
-    value, basis = _top_cluster(b)
-    return value, -2.0 * np.mean(basis[rows] * basis[cols], axis=1)
-
-
-def minimize_theta(
-    g: Graph,
-    max_iter: int = 5000,
-    init_weights=None,
-    known_alpha: int = None,
-) -> ThetaEstimate:
-    """Subgradient descent on lambda_max(J - A) over edge weights.
-
-    Diminishing steps c / sqrt(k) with c = n / |g_1|; the best value seen is
-    kept, so the reported upper bound is sound for any iterate. A final
-    polish along the scaling ray t * A_best reads off the walk-function
-    minimum (`optimal_scaling`) and keeps lambda_max(J - t * A_best) if lower.
-    A given `known_alpha` is reported as `lower`; no independence number is computed here.
+    s = max(0, `spectral.lambda_max_upper(-X~)`) makes Y semidefinite. Both
+    `math.fsum` sums are rounded outward one ulp, and their quotient down.
     """
-    m = g.num_edges
-    n = g.n
-    lower = None if known_alpha is None else float(known_alpha)
-    if m == 0:
-        upper = float(n)
-        return ThetaEstimate(upper, lower, (), 0, True)
-    w = np.ones(m) if init_weights is None else np.asarray(init_weights, dtype=float).copy()
-    ones = np.ones((n, n))
-    best_val = math.inf
-    best_w = w.copy()
-    best_so_far = []
-    step_c = None
-    converged = False
-    iterations = 0
-    for k in range(1, max_iter + 1):
-        iterations = k
-        value, grad = _subgradient(g.rows, g.cols, ones - adjacency(g, w))
-        if value < best_val:
-            best_val = value
-            best_w = w.copy()
-        best_so_far.append(best_val)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= 1e-14 * max(1.0, abs(value)):
-            converged = True   # zero is a subgradient: w is optimal
-            break
-        if step_c is None:
-            step_c = n / gnorm
-        w = w - (step_c / math.sqrt(k)) * grad
-        if k >= STALL_WINDOW and best_so_far[-STALL_WINDOW] - best_val < STALL_TOL:
-            converged = True
-            break
-    w_init = np.ones(m) if init_weights is None else np.asarray(init_weights, dtype=float)
-    rays = [best_w] if np.allclose(w_init, best_w) else [best_w, w_init]
-    for ray in rays:
-        if np.linalg.norm(ray) <= spectral.ZERO_NORM:
-            continue
-        t, value, _ = optimal_scaling(adjacency(g, ray))
-        if value < best_val:
-            best_val = value
-            best_w = t * ray
-    return ThetaEstimate(
-        upper=float(best_val),
-        lower=lower,
-        weights=tuple(float(x) for x in best_w),
-        iterations=iterations,
-        converged=converged,
-    )
+    x = 0.5 * (x + x.T)
+    x[g.rows, g.cols] = x[g.cols, g.rows] = 0.0
+    s = max(0.0, spectral.lambda_max_upper(-x))
+    num = math.fsum(x.ravel().tolist() + [s] * g.n)
+    den = math.fsum(np.diag(x).tolist() + [s] * g.n)
+    return math.nextafter(math.nextafter(num, -math.inf) / math.nextafter(den, math.inf), -math.inf)
+
+
+def minimize_theta(g: Graph, max_iter: int = 5000, known_alpha: int = None) -> ThetaEstimate:
+    """Theta = max <J, X> over X >= 0, tr X = 1, X zero on the edges (Lovasz 1979), with a certified bracket.
+
+    Dual ADMM (Wen, Goldfarb & Yin, Math. Prog. Comp. 2:203, 2010): with tr X = 1 and sqrt(2) X_ij = 0 on
+    the edges, AA* = diag(n, 1, ..., 1), so the multiplier step is a division that gives the dual edge
+    weights w = 1 + MU X_ij + S_ij, and the cone projection is one residual-checked `eigh`. Every
+    CHECK_EVERY iterations and at max_iter, the least `upper` = `spectral.lambda_max_upper(J - A(w))`
+    (with its w) and the greatest `_certified_lower` are kept, from [1, n] at w = 0 ([n, n] without
+    edges), until their gap is <= GAP_TOL * upper. ValueError if `upper` is below a given `known_alpha`.
+    """
+    n, rows, cols = g.n, g.rows, g.cols
+    upper, weights, certified_lower = float(n), np.zeros(g.num_edges), float(n if g.num_edges == 0 else 1)
+    ones, x, s, iterations = np.ones((n, n)), np.zeros((n, n)), np.zeros((n, n)), 0
+    while iterations < max_iter and upper - certified_lower > GAP_TOL * upper:
+        iterations += 1
+        w = 1.0 + MU * x[rows, cols] + s[rows, cols]
+        y0 = -(MU * (np.trace(x) - 1.0) + np.trace(s) + n) / n
+        v = adjacency(g, w) - ones - MU * x - y0 * np.eye(n)
+        v = 0.5 * (v + v.T)
+        vals, vecs, _ = spectral.eigh_checked(v)
+        s = (vecs * np.maximum(vals, 0.0)) @ vecs.T
+        x = (s - v) / MU
+        if iterations % CHECK_EVERY == 0 or iterations == max_iter:
+            bound = spectral.lambda_max_upper(ones - adjacency(g, w))
+            if bound < upper:
+                upper, weights = bound, w
+            certified_lower = max(certified_lower, _certified_lower(g, x))
+    if known_alpha is not None and upper < known_alpha:
+        raise ValueError(f"theta upper bound {upper} fell below the known independence number {known_alpha}")
+    return ThetaEstimate(upper, certified_lower, None if known_alpha is None else float(known_alpha),
+                         tuple(weights.tolist()), iterations, upper - certified_lower <= GAP_TOL * upper)
 
 
 def optimal_scaling(a: np.ndarray) -> tuple:

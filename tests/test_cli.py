@@ -124,6 +124,14 @@ def test_alpha_oracle_fills_up_to_the_limit(capsys, command):
     assert json.loads(out)[key] is None
 
 
+def test_theta_p5_upper_is_at_least_alpha(capsys):
+    """theta(P5) = alpha(P5) = 3: the certified upper cannot round below it."""
+    code, out, _ = run_cli(capsys, "theta", "--named", "path", "--n", "5", "--alpha-oracle")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["certified_lower"] <= payload["lower"] == 3 <= payload["upper"]
+
+
 def test_theta_petersen(capsys):
     code, out, _ = run_cli(capsys, "theta", "--named", "petersen")
     assert code == 0
@@ -441,7 +449,7 @@ def test_theta_max_iter_below_one_is_usage_error(capsys, max_iter):
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_theta_tol_not_finite_and_nonnegative_is_usage_error(capsys, tol):
-    # --tol is no option (the stall tolerance is theta.STALL_TOL), so any value is a usage error
+    # --tol is no option (the ADMM stops at the gap theta.GAP_TOL), so any value is a usage error
     with pytest.raises(SystemExit) as exc:
         main(["theta", "--named", "cycle", "--n", "5", "--tol", tol])
     captured = capsys.readouterr()

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -204,3 +205,65 @@ def test_extreme_eigenspace_is_the_band_at_its_end(corpus, top):
 def test_empty_matrix():
     data = eig_sym(np.zeros((0, 0)))
     assert data.n == 0 and rate_weight_pairs(data) == ()
+
+
+# --- the certified upper bound on lambda_max ---
+
+def exactly_positive_definite(m) -> bool:
+    """Exact LDL^T without pivoting over Fractions: a symmetric matrix is positive definite iff every pivot is > 0."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
+@st.composite
+def dyadic_symmetric(draw):
+    """n <= 8, entries k / 256 in [-4, 4], exactly representable, so uI - m is exact in Fractions."""
+    n = draw(st.integers(1, 8))
+    entries = draw(st.lists(st.integers(-1024, 1024), min_size=n * n, max_size=n * n))
+    m = np.array(entries, dtype=float).reshape(n, n) / 256.0
+    return np.triu(m) + np.triu(m, 1).T
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(m=dyadic_symmetric())
+def test_lambda_max_upper_is_proved_by_exact_ldlt(m):
+    u = spectral.lambda_max_upper(m)
+    lam = float(np.linalg.eigvalsh(m)[-1])
+    assert exactly_positive_definite([[Fraction(u) * (i == j) - Fraction(x) for j, x in enumerate(row)]
+                                      for i, row in enumerate(m.tolist())])
+    assert lam < u <= lam + 1e-11 * max(1.0, abs(lam))
+
+
+def test_lambda_max_upper_is_tight_on_theta_matrices():
+    """J - A(w) at unit weights of graphs up to n = 60, the scale of the theta solver's certificates."""
+    rng = np.random.default_rng(3)
+    for n in (5, 20, 60):
+        iu, ju = np.triu_indices(n, 1)
+        keep = rng.random(len(iu)) < 0.5
+        a = np.zeros((n, n))
+        a[iu[keep], ju[keep]] = a[ju[keep], iu[keep]] = rng.uniform(0.5, 3.0, size=int(keep.sum()))
+        m = np.ones((n, n)) - a
+        lam = float(np.linalg.eigvalsh(m)[-1])
+        assert lam < spectral.lambda_max_upper(m) <= lam + 1e-11 * max(1.0, abs(lam))
+
+
+def test_lambda_max_upper_raises_when_no_cholesky_succeeds(monkeypatch):
+    def never(m):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", never)
+    with pytest.raises(np.linalg.LinAlgError, match="no certified upper bound"):
+        spectral.lambda_max_upper(np.eye(3))
+
+
+def test_lambda_max_upper_rejects_asymmetric_input():
+    with pytest.raises(ValueError, match="symmetric"):
+        spectral.lambda_max_upper(np.array([[0.0, 1.0], [0.0, 0.0]]))

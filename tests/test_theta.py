@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -15,8 +16,6 @@ from walktheta.independent_set import independence_number, max_independent_set
 from walktheta.spectral import eig_sym
 from walktheta.theta import (
     RESIDUAL_TOL,
-    _subgradient,
-    _top_cluster,
     extract_optimizer,
     minimize_theta,
     optimal_scaling,
@@ -115,7 +114,7 @@ def test_minimize_theta_edgeless():
 def test_minimize_theta_monotone_history_and_soundness():
     g = generate_named("golomb")
     est = minimize_theta(g, known_alpha=independence_number(g))
-    # the best value seen only decreases: no worse than the first iterate, at all-ones weights
+    # the best upper seen only decreases: no worse than the first iterate's, at all-ones weights
     assert est.upper <= np.linalg.eigvalsh(np.ones((g.n, g.n)) - adjacency(g))[-1]
     assert est.upper >= est.lower - 1e-7
     assert est.upper <= g.n
@@ -124,51 +123,12 @@ def test_minimize_theta_monotone_history_and_soundness():
 def test_minimize_theta_json_schema():
     est = minimize_theta(generate_named("cycle", n=4))
     payload = est.to_json_dict()
-    assert set(payload) == {"upper", "lower", "iterations", "converged", "weights"}
+    assert set(payload) == {"upper", "certified_lower", "lower", "iterations", "converged", "weights"}
     assert len(payload["weights"]) == 4
 
 
-def random_gnp(rng, n, p):
-    iu, ju = np.triu_indices(n, 1)
-    keep = rng.random(len(iu)) < p
-    return Graph(n, frozenset(zip(iu[keep].tolist(), ju[keep].tolist())))
-
-
-def reference_gradient(g, weights):
-    """The per-edge loop the vectorised subgradient replaced: matrix fill and gradient."""
-    edges = sorted(g.edges)
-    a = np.zeros((g.n, g.n))
-    for (i, j), w in zip(edges, weights):
-        a[i, j] = a[j, i] = w
-    b = np.ones((g.n, g.n)) - a
-    value, basis = _top_cluster(b)
-    grad = np.empty(len(edges))
-    for e, (i, j) in enumerate(edges):
-        grad[e] = -2.0 * float(np.mean(basis[i, :] * basis[j, :]))
-    return b, value, grad, basis.shape[1]
-
-
-def test_subgradient_equals_per_edge_reference():
-    rng = np.random.default_rng(41)
-    cases = []
-    for n, p in ((8, 0.5), (15, 0.3), (30, 0.5), (41, 0.7)):
-        g = random_gnp(rng, n, p)
-        cases.append((g, rng.uniform(0.0, 2.0, size=g.num_edges), 1))
-    # J - 2A has top eigenvalue 4 with multiplicity 5 on Petersen, and
-    # J - A = I (multiplicity 12) on K12: multi-column means
-    cases.append((generate_named("petersen"), np.full(15, 2.0), 5))
-    cases.append((generate_named("complete", n=12), np.ones(66), 12))
-    for g, weights, mult in cases:
-        b, value, grad, width = reference_gradient(g, weights)
-        assert width == mult
-        assert np.array_equal(np.ones((g.n, g.n)) - adjacency(g, weights), b)
-        got_value, got_grad = _subgradient(g.rows, g.cols, b)
-        assert got_value == value
-        assert np.array_equal(got_grad, grad)
-
-
 def test_minimize_theta_skips_cluster_weights(eig_calls):
-    # subgradient steps cluster nothing; the polish decomposes each ray once
+    # the ADMM decomposes with eigh_checked and clusters nothing
     counts = []
     for max_iter in (5, 50):
         minimize_theta(generate_named("petersen"), max_iter=max_iter)
@@ -181,6 +141,84 @@ def test_minimize_theta_keeps_residual_check(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.zeros(len(m)), np.eye(len(m))))
     with pytest.raises(np.linalg.LinAlgError, match="residual"):
         minimize_theta(generate_named("petersen"), max_iter=50)
+
+
+# --- the certified bracket, at zero tolerance ---
+
+# theta-mix seed 2602's G(30, .5) (`perfbench/inputs.py`), alpha = 7 = theta
+THETA_MIX_2602_G30 = r"]alRUrQdHrIgT~KzTwAgPvHSsOkiXhmhmI]oBI\yYV[oxHXKb[tf[Qzr\zw\Ehpm_XRwQ`glDo"
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, frozenset((i, a + j) for i in range(a) for j in range(b)))
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, frozenset((i, j) for i in range(g.n) for j in range(i + 1, g.n)) - g.edges)
+
+
+def assert_brackets(est, exact) -> None:
+    """certified_lower <= exact <= upper, compared exactly against an int or a 50-digit mpf."""
+    with mp.workdps(50):
+        assert mp.mpf(est.certified_lower) <= exact <= mp.mpf(est.upper), (est.certified_lower, exact, est.upper)
+
+
+def odd_cycle_theta(n: int):
+    with mp.workdps(50):
+        c = mp.cos(mp.pi / n)
+        return n * c / (1 + c)
+
+
+# (name, graph, theta): closed forms (Lovasz 1979), and theta = alpha on bipartite graphs and theta-mix 2602,
+# where float rounding of lambda_max printed upper below alpha (P17: 8.999999999999995, P25: 12.999999999999993)
+KNOWN_THETA = ([(f"C{n}", generate_named("cycle", n=n), odd_cycle_theta(n)) for n in range(5, 22, 2)]
+               + [("petersen", generate_named("petersen"), 4),
+                  ("kneser7_2", generate_named("kneser", n=7, k=2), 6),
+                  ("kneser9_2", generate_named("kneser", n=9, k=2), 8)]
+               + [(f"P{n}", generate_named("path", n=n), (n + 1) // 2) for n in range(2, 26)]
+               + [(f"C{n}", generate_named("cycle", n=n), n // 2) for n in range(4, 21, 2)]
+               + [(f"K{a},{b}", complete_bipartite(a, b), max(a, b)) for a in range(1, 8) for b in range(1, 10)]
+               + [("theta-mix 2602", graphs.parse_graph6(THETA_MIX_2602_G30), 7)])
+
+
+@pytest.mark.parametrize("name, g, exact", KNOWN_THETA, ids=[case[0] for case in KNOWN_THETA])
+def test_certified_bracket_contains_known_theta(name, g, exact):
+    est = minimize_theta(g)
+    assert_brackets(est, exact)
+    assert est.converged
+
+
+@pytest.mark.parametrize("g", [generate_named("cycle", n=5), generate_named("cycle", n=7),
+                               generate_named("cycle", n=9), generate_named("petersen"),
+                               generate_named("kneser", n=7, k=2)], ids=["C5", "C7", "C9", "petersen", "kneser7_2"])
+def test_vertex_transitive_theta_times_complement_theta_is_n(g):
+    """theta(G) theta(complement of G) = n for vertex-transitive G (Lovasz 1979, Thm 8), exact products."""
+    est, co = minimize_theta(g), minimize_theta(complement(g))
+    assert Fraction(est.certified_lower) * Fraction(co.certified_lower) <= g.n
+    assert g.n <= Fraction(est.upper) * Fraction(co.upper)
+
+
+def test_upper_below_known_alpha_raises(monkeypatch):
+    """A sub-alpha upper would falsify theta >= alpha: ValueError, so the CLI exits 1."""
+    real = spectral.lambda_max_upper
+    monkeypatch.setattr(spectral, "lambda_max_upper", lambda m: real(m) - 1e-3)
+    p5 = generate_named("path", n=5)
+    with pytest.raises(ValueError, match="below the known independence number 3"):
+        minimize_theta(p5, known_alpha=3)
+    minimize_theta(p5, known_alpha=2)
+    assert cli.main(["theta", "--named", "path", "--n", "5", "--alpha-oracle"]) == 1
+
+
+def test_certificate_failure_exits_1(monkeypatch, capsys):
+    def never(m):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", never)
+    with pytest.raises(np.linalg.LinAlgError, match="no certified upper bound"):
+        minimize_theta(generate_named("cycle", n=5))
+    assert cli.main(["theta", "--named", "cycle", "--n", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no certified upper bound" in captured.err
 
 
 # --- scaling duality ---
@@ -381,12 +419,7 @@ def test_theta_estimate_c5_product_sandwich():
     c5 = generate_named("cycle", n=5)
     product = strong_product(c5, c5)
     assert independence_number(product) == 5
-    # seed the weights through the product construction at the factor optimum
-    a = adjacency(c5)
-    data = eig_sym(a)
-    gamma = -1.0 / spectral.walk_minimum(data).x_star
-    seed = theta._shifted_product(a, data, gamma, a, data, gamma)[product.rows, product.cols]
-    est = minimize_theta(product, init_weights=seed, max_iter=250)
+    est = minimize_theta(product, max_iter=250)
     assert est.upper == pytest.approx(5.0, abs=1e-2)
     assert est.upper >= 5.0 - 1e-7
 
