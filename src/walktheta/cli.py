@@ -22,7 +22,6 @@ from .graphs import (
 )
 from .independent_set import independence_number
 
-ALPHA_ORACLE_LIMIT = 20
 VERIFY_CASE_CAP = 100       # random cases of verify scaling and optimizer, whatever --random asks
 
 
@@ -82,19 +81,12 @@ def _output(args):
         yield lambda line: fh.write(line + "\n")
 
 
-def _alpha(args, g):
-    """The exact independence number under --alpha-oracle for n <= ALPHA_ORACLE_LIMIT, else None."""
-    if args.alpha_oracle and g.n <= ALPHA_ORACLE_LIMIT:
-        return independence_number(g)
-    return None
-
-
 def cmd_bounds(args) -> int:
     graphs = _read_graphs(args)
     dominance_ok = True
     with _output(args) as write:
         for g in graphs:
-            r = bounds.report(g, known_alpha=_alpha(args, g))
+            r = bounds.report(g, known_alpha=independence_number(g) if args.alpha_oracle else None)
             dominance_ok = dominance_ok and r.dominance_ok
             write(json.dumps(r.to_json_dict()))
     return 0 if dominance_ok else 1
@@ -106,7 +98,8 @@ def cmd_theta(args) -> int:
     graphs = _read_graphs(args)
     with _output(args) as write:
         for g in graphs:
-            est = theta.minimize_theta(g, max_iter=args.max_iter, known_alpha=_alpha(args, g))
+            alpha = independence_number(g) if args.alpha_oracle else None
+            est = theta.minimize_theta(g, max_iter=args.max_iter, known_alpha=alpha)
             write(json.dumps(est.to_json_dict()))
     return 0
 
@@ -265,14 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="per-graph bound reports as JSON lines")
     add_input(p)
-    p.add_argument("--alpha-oracle", action="store_true",
-                   help=f"attach exact independence number for n <= {ALPHA_ORACLE_LIMIT}")
+    p.add_argument("--alpha-oracle", action="store_true", help="attach exact independence number")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("theta", help="per-graph theta estimates as JSON lines")
     add_input(p)
     p.add_argument("--max-iter", type=int, default=5000, help="ADMM iterations, at least 1")
-    p.add_argument("--alpha-oracle", action="store_true")
+    p.add_argument("--alpha-oracle", action="store_true", help="attach exact independence number")
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("verify", help="run a verification suite")

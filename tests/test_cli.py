@@ -113,13 +113,14 @@ def test_theta_cycle_with_alpha(capsys):
 
 
 @pytest.mark.parametrize("command", [["theta", "--max-iter", "50"], ["bounds"]])
-def test_alpha_oracle_fills_up_to_the_limit(capsys, command):
+def test_alpha_oracle_fills_every_size(capsys, command):
+    """Exact alpha for any n under --alpha-oracle (P25: 13, past the old n <= 20 cap), null without it."""
     key = "lower" if command[0] == "theta" else "alpha_witness"
-    code, out, _ = run_cli(capsys, *command, "--named", "path", "--n", "5", "--alpha-oracle")
-    assert code == 0
-    assert json.loads(out)[key] == 3
-    n = cli.ALPHA_ORACLE_LIMIT + 5
-    code, out, _ = run_cli(capsys, *command, "--named", "path", "--n", str(n), "--alpha-oracle")
+    for n, alpha in ((5, 3), (25, 13), (60, 30)):
+        code, out, _ = run_cli(capsys, *command, "--named", "path", "--n", str(n), "--alpha-oracle")
+        assert code == 0
+        assert json.loads(out)[key] == alpha
+    code, out, _ = run_cli(capsys, *command, "--named", "path", "--n", "25")
     assert code == 0
     assert json.loads(out)[key] is None
 

@@ -31,7 +31,7 @@ VERIFY_PRODUCT_PAIRS = [
 ]
 
 
-# --- independence oracle (package solver vs plain enumeration) ---
+# --- independence oracle (package solver vs plain enumeration and networkx) ---
 
 def test_independence_number_matches_plain_oracle(corpus):
     for name, g in corpus:
@@ -46,6 +46,58 @@ def test_max_independent_set_is_independent():
     for i in chosen:
         for j in chosen:
             assert i == j or not g.has_edge(i, j)
+
+
+def networkx_alpha(g: Graph) -> int:
+    """Independence number as networkx's maximum clique of the complement."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return nx.max_weight_clique(nx.complement(h), weight=None)[1]
+
+
+def assert_exact_alpha(g: Graph, alpha: int) -> None:
+    chosen = set(max_independent_set(g))
+    assert len(chosen) == alpha
+    assert not any(i in chosen and j in chosen for i, j in g.edges)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(0, 40), p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_max_independent_set_matches_networkx(n, p, seed):
+    rng = np.random.default_rng(seed)
+    g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+    assert_exact_alpha(g, networkx_alpha(g))
+
+
+@pytest.mark.parametrize("family, sizes, alpha", [
+    ("path", range(2, 61), lambda n: (n + 1) // 2),
+    ("cycle", range(3, 62), lambda n: n // 2),
+    ("kneser", range(4, 13), lambda n: n - 1),      # Kneser(n, 2); Erdos-Ko-Rado: the stars of a point
+])
+def test_max_independent_set_families(family, sizes, alpha):
+    for n in sizes:
+        g = generate_named(family, n=n, k=2) if family == "kneser" else generate_named(family, n=n)
+        assert networkx_alpha(g) == alpha(n), (family, n)
+        assert_exact_alpha(g, alpha(n))
+
+
+def test_max_independent_set_edgeless_runs_deeper_than_the_recursion_limit():
+    assert_exact_alpha(generate_named("empty", n=1500), 1500)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_max_independent_set_theta_mix(seed):
+    """The `perfbench/inputs.py` theta-mix graphs: C5, Petersen, Kneser(7,2), G(30, .5), G(60, .5)."""
+    rng = np.random.default_rng(seed)
+    mix = [generate_named("cycle", n=5), generate_named("petersen"), generate_named("kneser", n=7, k=2)]
+    for n in (30, 60):
+        rows, cols = np.triu_indices(n, 1)
+        keep = rng.random(len(rows)) < 0.5
+        mix.append(Graph(n, zip(rows[keep].tolist(), cols[keep].tolist())))
+    for g in mix:
+        assert_exact_alpha(g, networkx_alpha(g))
 
 
 # --- lambda_max of the penalized matrix ---

@@ -7,11 +7,12 @@ CHANGE_SRC defaults to this script's tree. PARENT_SRC's walktheta and
 perfbench/inputs.py write the input files, which both trees only read. Cases
 run with OPENBLAS_NUM_THREADS=1 and print `identical`, or the count of
 differing lines and the largest relative difference over the numeric JSON/CSV
-fields, with the JSON key path or CSV column where it sits. Exits 0 only when
-every case is identical.
+fields, with the JSON key path or CSV column where it sits; a JSON null
+against a number counts as inf. Exits 0 only when every case is identical.
 """
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -42,7 +43,8 @@ CASES += [["plot-p17", "plot", "--named", "path", "--n", "17"], ["plot-golomb", 
           ["plot-p3-poles", "plot", "--named", "path", "--n", "3", "--lo", "-0.707106781187",
            "--hi", "0.707106781187", "--samples", "5"]]
 CASES += [["bounds1-alpha", "bounds", "bounds1.g6", "--alpha-oracle"],
-          ["theta1-alpha", "theta", "theta1.g6", "--max-iter", "400", "--alpha-oracle"]]
+          ["theta1-alpha", "theta", "theta1.g6", "--max-iter", "400", "--alpha-oracle"],
+          ["bounds-long-alpha", "bounds", "long.g6", "--alpha-oracle"]]    # alpha 11 and 14, past n = 62
 
 
 def run(args: list, cwd: str, *pythonpath: Path) -> tuple:
@@ -52,13 +54,15 @@ def run(args: list, cwd: str, *pythonpath: Path) -> tuple:
 
 
 def numbers(line: str) -> list:
-    """(where, value) of the numeric fields of a JSON line (key path, depth first) or a CSV line."""
+    """(where, value) of the numeric and null fields of a JSON line (key path, depth first) or a CSV line."""
     def walk(v, path):
         if isinstance(v, dict):
             return [x for k, item in v.items() for x in walk(item, f"{path}.{k}" if path else k)]
         if isinstance(v, list):
             return [x for item in v for x in walk(item, path)]
-        return [(path or "value", float(v))] if type(v) in (int, float) else []
+        if v is None or type(v) in (int, float):     # a null keeps its place, so later fields stay paired
+            return [(path or "value", None if v is None else float(v))]
+        return []
     try:
         return walk(json.loads(line), "")
     except ValueError:
@@ -73,7 +77,10 @@ def compare(old: bytes, new: bytes) -> tuple:
         if x != y:
             differ += 1
             for (field, u), (_, v) in zip(numbers(x), numbers(y)):
-                rel = abs(u - v) / max(abs(u), abs(v), 1e-300)
+                if u is None or v is None:
+                    rel = 0.0 if u is v else math.inf
+                else:
+                    rel = abs(u - v) / max(abs(u), abs(v), 1e-300)
                 if rel > worst:
                     worst, where = rel, field
     return differ, worst, where
