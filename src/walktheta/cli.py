@@ -104,9 +104,9 @@ def cmd_theta(args) -> int:
     return 0
 
 
-def _suite_duality(count: int, seed: int, emit) -> None:
-    rng = np.random.default_rng(seed)
-    for i in range(count):
+def _suite_duality(args, graphs, emit) -> None:
+    rng = np.random.default_rng(args.seed)
+    for i in range(args.random):
         f = random_instance(rng)
         expect = reciprocal.has_critical_points(f)
         checked = reciprocal.verify_duality(f)      # its points also decide the iff check
@@ -114,24 +114,24 @@ def _suite_duality(count: int, seed: int, emit) -> None:
         emit({"suite": "duality", "case": i, "ok": bool(ok)})
 
 
-def _suite_scaling(count: int, seed: int, emit) -> None:
-    rng = np.random.default_rng(seed)
-    for i in range(count):
+def _suite_scaling(args, graphs, emit) -> None:
+    rng = np.random.default_rng(args.seed)
+    for i in range(min(args.random, VERIFY_CASE_CAP)):
         a = random_weighted(rng)
-        t, scaled, direct = theta.optimal_scaling(a)
+        t, direct = theta.optimal_scaling(a)
         # s -> lambda_max(J - s*a) is convex, so a t no worse than both
         # neighbours is a global minimiser
         ones = np.ones(a.shape)
         delta = 1e-4 * (1.0 + abs(t))
-        left, mid, right = (float(np.linalg.eigvalsh(ones - s * a)[-1])
-                            for s in (t - delta, t, t + delta))
-        minimal = mid <= min(left, right) + 1e-12 * float(np.linalg.norm(ones - t * a))
+        left, scaled, right = (float(np.linalg.eigvalsh(ones - s * a)[-1])
+                               for s in (t - delta, t, t + delta))
+        minimal = scaled <= min(left, right) + 1e-12 * float(np.linalg.norm(ones - t * a))
         ok = abs(scaled - direct) <= 1e-6 and minimal
         emit({"suite": "scaling", "case": i, "ok": bool(ok),
               "scaled": scaled, "direct": direct})
 
 
-def _suite_product(seed: int, emit) -> None:
+def _suite_product(args, graphs, emit) -> None:
     pairs = [
         ("C5", "C5"), ("K2", "K2"), ("empty3", "K2"), ("P5", "C5"),
         ("K4", "P2"), ("C7", "K2"), ("P5", "P5"), ("K2", "C5"),
@@ -140,7 +140,7 @@ def _suite_product(seed: int, emit) -> None:
     fixtures = dict(fixture_graphs())
     for i, (a, b) in enumerate(pairs):
         try:
-            lhs, rhs, ok = theta.submultiplicativity_check(fixtures[a], fixtures[b], seed=seed + i)
+            lhs, rhs, ok = theta.submultiplicativity_check(fixtures[a], fixtures[b], seed=args.seed + i)
         except AssertionError:
             lhs = rhs = None   # JSON null; NaN is not JSON
             ok = False
@@ -148,11 +148,11 @@ def _suite_product(seed: int, emit) -> None:
               "lhs": lhs, "rhs": rhs})
 
 
-def _suite_dominance(graphs, count: int, seed: int, emit) -> None:
+def _suite_dominance(args, graphs, emit) -> None:
     if graphs is None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(args.seed)
         graphs = [g for _, g in fixture_graphs()]
-        while len(graphs) < count:
+        while len(graphs) < args.random:
             graphs.append(random_graph(rng))
     for i, g in enumerate(graphs):
         r = bounds.report(g)
@@ -160,10 +160,10 @@ def _suite_dominance(graphs, count: int, seed: int, emit) -> None:
               "walkgen": r.walkgen_bound, "laplacian": r.laplacian_bound})
 
 
-def _suite_optimizer(count: int, seed: int, emit) -> None:
-    rng = np.random.default_rng(seed)
+def _suite_optimizer(args, graphs, emit) -> None:
+    rng = np.random.default_rng(args.seed)
     mats = [adjacency(g) for _, g in fixture_graphs()]
-    mats += [random_weighted(rng) for _ in range(count)]
+    mats += [random_weighted(rng) for _ in range(min(args.random, VERIFY_CASE_CAP))]
     for i, a in enumerate(mats):
         cert = theta.extract_optimizer(a)
         norm_a = float(np.linalg.norm(a))
@@ -174,6 +174,11 @@ def _suite_optimizer(count: int, seed: int, emit) -> None:
             and abs(cert.norm_sq - cert.walk_min) <= 1e-6
         )
         emit({"suite": "optimizer", "case": i, "ok": bool(ok)})
+
+
+# verify's suites, in `verify all` order; each takes (args, graphs or None, emit)
+SUITES = {"duality": _suite_duality, "scaling": _suite_scaling, "product": _suite_product,
+          "dominance": _suite_dominance, "optimizer": _suite_optimizer}
 
 
 def cmd_verify(args) -> int:
@@ -188,25 +193,14 @@ def cmd_verify(args) -> int:
                 f"verify {args.suite} reads no graphs; only dominance and all take an input"
             )
         graphs = list(_read_graphs(args))
-    suites = ["duality", "scaling", "product", "dominance", "optimizer"] \
-        if args.suite == "all" else [args.suite]
     verdicts = []
     with _output(args) as write:
         def emit(record: dict) -> None:
             verdicts.append(record["ok"])
             write(json.dumps(record))
 
-        for suite in suites:
-            if suite == "duality":
-                _suite_duality(args.random, args.seed, emit)
-            elif suite == "scaling":
-                _suite_scaling(min(args.random, VERIFY_CASE_CAP), args.seed, emit)
-            elif suite == "product":
-                _suite_product(args.seed, emit)
-            elif suite == "dominance":
-                _suite_dominance(graphs, args.random, args.seed, emit)
-            elif suite == "optimizer":
-                _suite_optimizer(min(args.random, VERIFY_CASE_CAP), args.seed, emit)
+        for suite in SUITES if args.suite == "all" else [args.suite]:
+            SUITES[suite](args, graphs, emit)
         failures = verdicts.count(False)
         emit({"passed": len(verdicts) - failures, "total": len(verdicts), "ok": failures == 0})
     return 0 if failures == 0 else 1
@@ -268,8 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=("duality", "scaling", "product",
-                                     "dominance", "optimizer", "all"))
+    p.add_argument("suite", choices=(*SUITES, "all"))
     add_input(p)
     p.add_argument("--random", type=int, default=500,
                    help="number of random cases where applicable; "

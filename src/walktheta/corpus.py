@@ -41,10 +41,10 @@ def random_graph(rng: np.random.Generator, n_max: int = 12, allow_isolated: bool
     return g
 
 
-def random_weighted(rng: np.random.Generator, n_min: int = 3, n_max: int = 10) -> np.ndarray:
-    """Random nonzero symmetric zero-diagonal matrix supported on a random graph."""
+def random_weighted(rng: np.random.Generator) -> np.ndarray:
+    """Random nonzero symmetric zero-diagonal matrix of order 3 to 10, supported on a random graph."""
     while True:
-        n = int(rng.integers(n_min, n_max + 1))
+        n = int(rng.integers(3, 11))
         p = float(rng.uniform(0.2, 0.9))
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
         if edges:

@@ -8,10 +8,10 @@ point with the largest f-value is the unique minimum of f on the central
 strip between the extreme reciprocal poles.
 
 `ReciprocalSum.minimize(lo, hi)` is the one interval minimiser, for the
-walk bounds (via `spectral.walk_minimum`), the theta polish and the duality
-strip. It and the critical-point enumerator, which brackets each root of
-f' by certified interval halving, share one root search on the
-derivative, `_root`: safeguarded Newton steps inside a sign bracket.
+walk minima (via `spectral.walk_minimum`) and the duality strip. It and
+the critical-point enumerator, which brackets each root of f' by
+certified interval halving, share one root search on the derivative,
+`_root`: safeguarded Newton steps inside a sign bracket.
 """
 
 from __future__ import annotations
@@ -179,16 +179,13 @@ class CriticalReport:
 
 def has_critical_points(f: ReciprocalSum) -> bool:
     """True iff the rates carry both signs, or the function is constant."""
-    if f.rates and f.rates[0] < 0.0 < f.rates[-1]:
-        return True
-    return set(f.rates) == {0.0}
+    return central_strip(f) is not None or set(f.rates) == {0.0}
 
 
 def central_strip(f: ReciprocalSum):
     """Open interval between the extreme reciprocal poles, when both signs occur."""
-    b_min, b_max = f.rates[0], f.rates[-1]
-    if b_min < 0.0 < b_max:
-        return (1.0 / b_min, 1.0 / b_max)
+    if f.rates and f.rates[0] < 0.0 < f.rates[-1]:
+        return (1.0 / f.rates[0], 1.0 / f.rates[-1])
     return None
 
 

@@ -44,19 +44,12 @@ class ThetaEstimate:
     upper: float            # certified: theta <= upper
     certified_lower: float  # certified: certified_lower <= theta
     lower: float            # the known independence number, when supplied
-    weights: tuple          # edge weights w with lambda_max(J - A(w)) <= upper
     iterations: int
     converged: bool         # the relative gap closed to GAP_TOL
+    weights: tuple          # edge weights w with lambda_max(J - A(w)) <= upper
 
     def to_json_dict(self) -> dict:
-        return {
-            "upper": self.upper,
-            "certified_lower": self.certified_lower,
-            "lower": self.lower,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "weights": list(self.weights),
-        }
+        return dict(vars(self))     # field order is the JSON key order
 
 
 @dataclass(frozen=True)
@@ -114,22 +107,20 @@ def minimize_theta(g: Graph, max_iter: int = 5000, known_alpha: int = None) -> T
     if known_alpha is not None and upper < known_alpha:
         raise ValueError(f"theta upper bound {upper} fell below the known independence number {known_alpha}")
     return ThetaEstimate(upper, certified_lower, None if known_alpha is None else float(known_alpha),
-                         tuple(weights.tolist()), iterations, upper - certified_lower <= GAP_TOL * upper)
+                         iterations, upper - certified_lower <= GAP_TOL * upper, tuple(weights.tolist()))
 
 
 def optimal_scaling(a: np.ndarray) -> tuple:
     """Minimize the convex map t -> lambda_max(J - t*a) by reading off the walk-function minimum.
 
-    At the interval minimum x* of W_a, t = -x* W(x*). Returns (t, lambda_max(J - t*a), W(x*)).
-    The second, an eigenvalue of a feasible weighting, is an upper bound whatever t is.
+    At the interval minimum x* of W_a, t = -x* W(x*) and the minimum value is W(x*).
+    Returns (t, W(x*)), from one `spectral.eig_sym`.
     """
-    a = np.asarray(a, dtype=float)
-    data = spectral.eig_sym(a)
+    data = spectral.eig_sym(np.asarray(a, dtype=float))
     if data.norm <= spectral.ZERO_NORM:
         raise ValueError("optimal scaling needs a nonzero matrix")
     opt = spectral.walk_minimum(data)
-    t = -opt.x_star * opt.value
-    return float(t), float(np.linalg.eigvalsh(np.ones(a.shape) - t * a)[-1]), float(opt.value)
+    return float(-opt.x_star * opt.value), float(opt.value)
 
 
 def extract_optimizer(a: np.ndarray) -> OptimizerVector:

@@ -114,7 +114,7 @@ def test_criterion_06_scaling_duality():
     with criterion(6, "min_t lambda_max(J - tA) equals the interval minimum", 60.0):
         rng = np.random.default_rng(106)
         for _ in range(100):
-            a = random_weighted_matrix(rng, n_min=3, n_max=10)
+            a = random_weighted_matrix(rng)
             _, scaled = reference_optimal_scaling(a)
             direct = walk_minimum(eig_sym(a)).value
             assert abs(scaled - direct) <= 1e-6

@@ -155,17 +155,58 @@ def test_verify_scaling(capsys):
 
 
 def test_verify_scaling_rejects_a_non_minimiser(capsys, monkeypatch):
-    # the value stays right, so only the convexity certificate can fail
+    # the value matches the wrong t, so only the convexity certificate can fail
     real = theta.optimal_scaling
 
     def off_by_one_percent(a):
-        t, value, walk_min = real(a)
-        return 1.01 * t, value, walk_min
+        t = 1.01 * real(a)[0]
+        return t, float(np.linalg.eigvalsh(np.ones(a.shape) - t * a)[-1])
 
     monkeypatch.setattr(theta, "optimal_scaling", off_by_one_percent)
     code, out, _ = run_cli(capsys, "verify", "scaling", "--random", "10")
     assert code == 1
     assert not json.loads(out.splitlines()[-1])["ok"]
+
+
+def test_verify_scaling_prints_its_own_eigenvalue(capsys, monkeypatch):
+    """`scaled` is lambda_max(J - t*a) at the t `optimal_scaling` returns, which computes no eigenvalue itself."""
+    real_scaling, real_eigvalsh = theta.optimal_scaling, np.linalg.eigvalsh
+    cases, inside, eigvalsh_inside = [], [], []
+
+    def recording_scaling(a):
+        inside.append(a)
+        try:
+            t, direct = real_scaling(a)
+        finally:
+            inside.pop()
+        cases.append((a, t))
+        return t, direct
+
+    def recording_eigvalsh(m, *args, **kwargs):
+        if inside:
+            eigvalsh_inside.append(m)
+        return real_eigvalsh(m, *args, **kwargs)
+
+    monkeypatch.setattr(theta, "optimal_scaling", recording_scaling)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    code, out, _ = run_cli(capsys, "verify", "scaling", "--random", "10")
+    assert code == 0
+    assert eigvalsh_inside == []
+    records = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert len(records) == len(cases) == 10
+    for record, (a, t) in zip(records, cases):
+        assert record["scaled"] == float(real_eigvalsh(np.ones(a.shape) - t * a)[-1])
+
+
+def test_verify_suites_come_from_one_table(capsys):
+    subcommands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in subcommands.choices["verify"]._actions if a.dest == "suite")
+    assert list(cli.SUITES) == [c for c in suite.choices if c != "all"]
+    code, out, _ = run_cli(capsys, "verify", "all", "--random", "3")
+    assert code == 0
+    order = [json.loads(line)["suite"] for line in out.splitlines()[:-1]]
+    assert list(dict.fromkeys(order)) == list(cli.SUITES)
+    assert order == sorted(order, key=list(cli.SUITES).index)
 
 
 def test_verify_scaling_and_optimizer_decompose_each_matrix_once(capsys, eig_calls):

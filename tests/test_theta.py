@@ -275,9 +275,15 @@ def test_certificate_failure_exits_1(monkeypatch, capsys):
 
 # --- scaling duality ---
 
+def scaled_lambda_max(a: np.ndarray, t: float) -> float:
+    """lambda_max(J - t*a), computed here rather than read from `optimal_scaling`."""
+    return float(np.linalg.eigvalsh(np.ones(a.shape) - t * a)[-1])
+
+
 def test_optimal_scaling_c5():
     a = adjacency(generate_named("cycle", n=5))
-    t, value, walk_min = optimal_scaling(a)
+    t, walk_min = optimal_scaling(a)
+    value = scaled_lambda_max(a, t)
     assert value == pytest.approx(SQRT5, abs=1e-6)
     assert value == pytest.approx(walk_min, abs=1e-6)
     assert walk_min == spectral.walk_minimum(eig_sym(a)).value
@@ -285,13 +291,15 @@ def test_optimal_scaling_c5():
 
 def test_optimal_scaling_p17():
     a = adjacency(generate_named("path", n=17))
-    _, value, _ = optimal_scaling(a)
+    t, _ = optimal_scaling(a)
+    value = scaled_lambda_max(a, t)
     assert value == pytest.approx(9.0, abs=1e-6)
 
 
 def test_optimal_scaling_k2():
     a = adjacency(generate_named("complete", n=2))
-    t, value, _ = optimal_scaling(a)
+    t, _ = optimal_scaling(a)
+    value = scaled_lambda_max(a, t)
     assert t == pytest.approx(1.0, abs=1e-6)
     assert value == pytest.approx(1.0, abs=1e-9)
 
@@ -305,7 +313,8 @@ def test_scaling_duality_random():
     rng = np.random.default_rng(31)
     for _ in range(25):
         a = random_weighted_matrix(rng)
-        _, scaled, direct = optimal_scaling(a)
+        t, direct = optimal_scaling(a)
+        scaled = scaled_lambda_max(a, t)
         assert abs(scaled - direct) <= 1e-6
         _, searched = reference_optimal_scaling(a)
         assert abs(scaled - searched) <= 1e-9 * abs(searched)
@@ -320,7 +329,9 @@ def test_optimal_scaling_known_theta(family, n):
         g, theta_known = generate_named("cycle", n=n), n * c / (1.0 + c)
     else:
         g, theta_known = generate_named("kneser", n=n, k=2), float(n - 1)
-    _, value, _ = optimal_scaling(adjacency(g))
+    a = adjacency(g)
+    t, _ = optimal_scaling(a)
+    value = scaled_lambda_max(a, t)
     assert abs(value - theta_known) <= 1e-13 * theta_known
 
 

@@ -37,6 +37,9 @@ CASES += [["bounds-long", "bounds", "long.g6"]]    # graph6 long form: Kneser(12
 CASES += [[f"theta{s}", "theta", f"theta{s}.g6", "--max-iter", "400"] for s in (1, 2)]
 # seed 203 fails a scaling and an optimizer case (ROADMAP item 4): exit 1 on both sides
 CASES += [[f"verify{s}", "verify", "all", "--random", "500", "--seed", str(s)] for s in (1, 2, 203)]
+# single suites: scaling alone fails case 58 at seed 203, and dominance reads a graph file
+CASES += [["verify-scaling203", "verify", "scaling", "--random", "100", "--seed", "203"],
+          ["verify-dominance-file", "verify", "dominance", "bounds13.g6"]]
 CASES += [["plot-p17", "plot", "--named", "path", "--n", "17"], ["plot-golomb", "plot", "--named", "golomb"],
           ["plot-golomb-window", "plot", "--named", "golomb", "--lo", "-0.6", "--hi", "0.3", "--samples", "500"],
           ["plot-empty", "plot", "--named", "empty", "--n", "3", "--samples", "5"],
