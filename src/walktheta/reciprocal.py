@@ -53,7 +53,7 @@ class PoleProximityError(ValueError):
 
 @dataclass(frozen=True)
 class IntervalMin:
-    """Minimum of a reciprocal sum on an interval; x_star = inf for a zero matrix."""
+    """Minimum of a reciprocal sum on an interval: the point, the value there, and f' there."""
 
     x_star: float
     value: float
@@ -66,14 +66,11 @@ class ReciprocalSum:
     """Sum of weight / (1 - rate * x) terms; weights positive, rates distinct.
 
     Terms are stored in ascending rate order whatever order they are given
-    in. `poles` holds the finite poles 1 / rate, ascending. n_total is the
-    dimension of the matrix the sum came from (its value when constant);
-    it is None for a sum given by its terms.
+    in. `poles` holds the finite poles 1 / rate, ascending.
     """
 
     weights: tuple
     rates: tuple
-    n_total: float = None
     poles: tuple = field(init=False, repr=False, compare=False)
     _slopes: tuple = field(init=False, repr=False, compare=False)
 

@@ -21,9 +21,6 @@ TOL_EIG = 1e-10
 TOL_CLUSTER = 1e-7
 TOL_WEIGHT = 1e-9
 TOL_ZERO = float(np.finfo(float).eps)
-# A matrix with Frobenius norm at or below this is treated as zero, which by
-# convention makes the interval minimum equal n with an infinite sentinel x.
-ZERO_NORM = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,10 +66,8 @@ def eigh_checked(m: np.ndarray) -> tuple:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.size and not np.array_equal(m, m.T):
+    if not np.array_equal(m, m.T):
         raise ValueError("matrix is not exactly symmetric")
-    if m.shape[0] == 0:
-        return np.zeros(0), np.zeros((0, 0)), 0.0
     vals, vecs = np.linalg.eigh(m)
     return vals, vecs, check_eigenpairs(m, vals, vecs)
 
@@ -152,7 +147,7 @@ def merge_terms(rates: list, weights: list, n: int, scale: float) -> ReciprocalS
         if weight > tol_weight:
             merged_rates.append(0.0 if abs(rep) <= tol_zero else rep)
             merged_weights.append(weight)
-    return ReciprocalSum(merged_weights, merged_rates, float(n))
+    return ReciprocalSum(merged_weights, merged_rates)
 
 
 def extreme_eigenspace(vals: np.ndarray, top: bool) -> slice:
@@ -167,17 +162,13 @@ def walk_minimum(data: SpectralData, hi: float = math.inf) -> IntervalMin:
     """Minimum of `data.walk` on the spectral interval [1/lam_min, 1/lam_max], cut off above at hi.
 
     The function is convex there, and endpoints sitting on poles are +inf
-    walls. A numerically zero matrix yields value n at the infinite sentinel x.
-    `data` needs only `walk`, `norm`, `lam_min` and `lam_max`.
+    walls. A walk with no nonzero rate (A = 0, or A 1 = 0) is the constant n,
+    minimal at x = 0. `data` needs only `walk`, `n`, `lam_min` and `lam_max`.
     """
-    if data.norm <= ZERO_NORM:
-        return IntervalMin(math.inf, data.walk.n_total, False, 0.0)
+    if not any(data.walk.rates):
+        return IntervalMin(0.0, float(data.n), False, 0.0)
     lo = 1.0 / data.lam_min
     hi = min(hi, 1.0 / data.lam_max)
     if lo > hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    fn = data.walk
-    if all(b == 0.0 for b in fn.rates):
-        x0 = min(max(0.0, lo), hi)
-        return IntervalMin(x0, fn.n_total, False, 0.0)
-    return fn.minimize(lo, hi)
+    return data.walk.minimize(lo, hi)

@@ -114,11 +114,9 @@ def optimal_scaling(a: np.ndarray) -> tuple:
     """Minimize the convex map t -> lambda_max(J - t*a) by reading off the walk-function minimum.
 
     At the interval minimum x* of W_a, t = -x* W(x*) and the minimum value is W(x*).
-    Returns (t, W(x*)), from one `spectral.eig_sym`.
+    Returns (t, W(x*)), from one `spectral.eig_sym`; a zero matrix gives t = 0, W = n.
     """
     data = spectral.eig_sym(np.asarray(a, dtype=float))
-    if data.norm <= spectral.ZERO_NORM:
-        raise ValueError("optimal scaling needs a nonzero matrix")
     opt = spectral.walk_minimum(data)
     return float(-opt.x_star * opt.value), float(opt.value)
 
@@ -132,8 +130,6 @@ def extract_optimizer(a: np.ndarray) -> OptimizerVector:
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
-    if float(np.linalg.norm(a)) <= spectral.ZERO_NORM:
-        return _certify(np.ones(n), a, float(n))
     data = spectral.eig_sym(a)
     opt = spectral.walk_minimum(data)
     y = opt.x_star
@@ -195,7 +191,7 @@ def _product_walk(data_g, gamma_g, data_h, gamma_h) -> SimpleNamespace:
     (mu + gamma_g)(nu + gamma_h) - gamma_g*gamma_h, weights w_g*w_h, merged by
     `spectral.merge_terms` at the scale of the full product spectrum. The extreme
     eigenvalues are corner products of the factors' extremes, exactly: rounding is monotone.
-    Returns what `spectral.walk_minimum` reads: walk, norm, lam_min and lam_max.
+    Returns what `spectral.walk_minimum` reads: walk, n, lam_min and lam_max.
     """
     _check_shift("gamma_g", data_g, gamma_g)
     _check_shift("gamma_h", data_h, gamma_h)
@@ -206,8 +202,9 @@ def _product_walk(data_g, gamma_g, data_h, gamma_h) -> SimpleNamespace:
     corners = [(mu + gamma_g) * (nu + gamma_h) - shift
                for mu in (data_g.lam_min, data_g.lam_max) for nu in (data_h.lam_min, data_h.lam_max)]
     norm = float(np.linalg.norm(np.outer(data_g.eigenvalues + gamma_g, data_h.eigenvalues + gamma_h) - shift))
-    walk = spectral.merge_terms([r for r, _ in terms], [w for _, w in terms], data_g.n * data_h.n, max(1.0, norm))
-    return SimpleNamespace(walk=walk, norm=norm, lam_min=min(corners), lam_max=max(corners))
+    n = data_g.n * data_h.n
+    walk = spectral.merge_terms([r for r, _ in terms], [w for _, w in terms], n, max(1.0, norm))
+    return SimpleNamespace(walk=walk, n=n, lam_min=min(corners), lam_max=max(corners))
 
 
 def _product_spectrum(data_g, gamma_g, data_h, gamma_h) -> tuple:
@@ -225,7 +222,7 @@ def _walk_value(m: np.ndarray, x):
 
 def _valid_gamma_samples(data: spectral.SpectralData, k: int, rng: np.random.Generator = None):
     """Gammas of the form -1/x for x inside the spectral interval (always valid)."""
-    if data.norm <= spectral.ZERO_NORM:
+    if data.norm == 0.0:
         if rng is None:
             return [1.0, -1.0] + list(np.linspace(0.5, 2.0, k - 2))
         return list(rng.uniform(0.5, 2.0, size=k))

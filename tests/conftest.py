@@ -84,7 +84,7 @@ def reference_optimal_scaling(a: np.ndarray) -> tuple:
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     norm = float(np.linalg.norm(a))
-    if norm <= spectral.ZERO_NORM:
+    if norm <= 1e-12:
         raise ValueError("optimal scaling needs a nonzero matrix")
     ones = np.ones((n, n))
 

@@ -52,6 +52,9 @@ def test_bounds_corpus_stream(capsys, tmp_path):
     code, seq, _ = run_cli(capsys, "bounds", str(corpus))
     assert code == 0
     assert [json.loads(l)["n"] for l in seq.splitlines()] == [3, 4, 5, 6]
+    # blank and whitespace-only lines between graphs are skipped
+    corpus.write_text(f"{lines[0]}\n\n{lines[1]}\n \t\n{lines[2]}\n\n\n{lines[3]}\n")
+    assert run_cli(capsys, "bounds", str(corpus)) == (0, seq, "")
 
 
 def test_parse_error_reports_location(capsys, tmp_path):
@@ -60,6 +63,9 @@ def test_parse_error_reports_location(capsys, tmp_path):
     code, out, err = run_cli(capsys, "bounds", str(bad))
     assert code == 2
     assert f"{bad}:2:" in err
+    odd = tmp_path / "odd.txt"
+    odd.write_text("3 0")
+    assert run_cli(capsys, "bounds", str(odd)) == (2, "", f"{odd}:1: odd number of endpoint tokens\n")
 
 
 def test_non_ascii_graph6_byte_exits_2(capsys, tmp_path):
@@ -210,7 +216,7 @@ def test_verify_suites_come_from_one_table(capsys):
 
 
 def test_verify_scaling_and_optimizer_decompose_each_matrix_once(capsys, eig_calls):
-    """The walk minimum comes from the suite's own decomposition, not a second one."""
+    """The walk minimum comes from the suite's own decomposition, not a second one; zero matrices included."""
     rng = np.random.default_rng(4)
     weighted = [random_weighted(rng) for _ in range(10)]
     assert run_cli(capsys, "verify", "scaling", "--random", "10", "--seed", "4")[0] == 0
@@ -219,10 +225,10 @@ def test_verify_scaling_and_optimizer_decompose_each_matrix_once(capsys, eig_cal
     eig_calls.clear()
     fixtures = fixture_graphs()
     assert [name for name, g in fixtures if not g.edges] == ["K1", "empty3", "empty6"]
-    nonzero = [adjacency(g) for _, g in fixtures if g.edges] + weighted
+    mats = [adjacency(g) for _, g in fixtures] + weighted
     assert run_cli(capsys, "verify", "optimizer", "--random", "10", "--seed", "4")[0] == 0
-    assert len(eig_calls) == len(nonzero) == 21
-    assert all(np.array_equal(m, a) for m, a in zip(eig_calls, nonzero))
+    assert len(eig_calls) == len(mats) == 24
+    assert all(np.array_equal(m, a) for m, a in zip(eig_calls, mats))
 
 
 def test_verify_product(capsys):

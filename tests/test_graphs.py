@@ -183,6 +183,12 @@ def test_parse_edge_list_errors():
         parse_edge_list("2\n0 5")
     with pytest.raises(ValueError, match="integer"):
         parse_edge_list("2\n0 x")
+    with pytest.raises(ValueError, match="^empty edge-list input$"):
+        parse_edge_list("")
+    with pytest.raises(ValueError, match="^vertex count is not an integer: 'x'$"):
+        parse_edge_list("x 0 1")
+    with pytest.raises(ValueError, match="^odd number of endpoint tokens$"):
+        parse_edge_list("3 0")
 
 
 # --- named generators ---
@@ -221,6 +227,8 @@ def test_generate_named_errors():
         generate_named("kneser", n=3, k=5)
     with pytest.raises(ValueError, match="needs parameter"):
         generate_named("complete")
+    with pytest.raises(ValueError, match="^path needs n >= 1, got 0$"):
+        generate_named("path", n=0)
 
 
 def test_graph_validation():
@@ -228,6 +236,8 @@ def test_graph_validation():
         Graph(3, frozenset({(1, 1)}))
     with pytest.raises(ValueError, match="outside"):
         Graph(2, frozenset({(0, 3)}))
+    with pytest.raises(ValueError, match="^vertex count must be >= 0, got -1$"):
+        Graph(-1)
     # unordered pairs canonicalize
     assert Graph(3, frozenset({(2, 0)})).edges == frozenset({(0, 2)})
 

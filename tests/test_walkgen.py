@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_weighted_matrix
+from conftest import fixture_graphs, random_weighted_matrix
 from walktheta.graphs import adjacency, generate_named
 from walktheta.reciprocal import PoleProximityError, ReciprocalSum
 from walktheta.spectral import eig_sym, walk_minimum
@@ -15,7 +15,6 @@ def test_build_k2():
     fn = eig_sym(adjacency(generate_named("complete", n=2))).walk
     assert fn.rates == (pytest.approx(1.0),)
     assert fn.weights == (pytest.approx(2.0),)
-    assert fn.n_total == 2.0
 
 
 def test_build_zero_matrix():
@@ -31,18 +30,18 @@ def test_build_c5():
 
 
 def test_value_k2_at_minus_one():
-    fn = ReciprocalSum((2.0,), (1.0,), 2.0)
+    fn = ReciprocalSum((2.0,), (1.0,))
     assert fn.value(-1.0) == pytest.approx(1.0)
 
 
 def test_constant_function():
-    fn = ReciprocalSum((4.0,), (0.0,), 4.0)
+    fn = ReciprocalSum((4.0,), (0.0,))
     assert fn.value(3.7) == 4.0
     assert fn.derivative(-2.0) == 0.0
 
 
 def test_value_near_pole_raises():
-    fn = ReciprocalSum((2.0,), (1.0,), 2.0)
+    fn = ReciprocalSum((2.0,), (1.0,))
     with pytest.raises(PoleProximityError) as exc:
         fn.value(1.0 + 1e-12)
     assert exc.value.pole == pytest.approx(1.0)
@@ -66,10 +65,17 @@ def test_minimize_regular_hits_left_endpoint():
     assert opt.value == pytest.approx(SQRT5, abs=1e-12)
 
 
-def test_minimize_zero_matrix_sentinel():
+def test_minimize_zero_matrix_is_n_at_zero():
     opt = walk_minimum(eig_sym(np.zeros((7, 7))))
-    assert opt.value == 7.0
-    assert math.isinf(opt.x_star)
+    assert (opt.x_star, opt.value, opt.at_endpoint) == (0.0, 7.0, False)
+
+
+def test_tiny_fixture_adjacencies_walk_to_n():
+    """1e-13 A merges A's eigenvalues into one rate-0 cluster, so its walk minimum is n exactly."""
+    for name, g in fixture_graphs():
+        data = eig_sym(1e-13 * adjacency(g))
+        assert data.walk.rates == (0.0,), name
+        assert walk_minimum(data).value == g.n, name
 
 
 def test_subinterval_c5():

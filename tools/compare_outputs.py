@@ -30,10 +30,15 @@ for s in (1, 2):
 long_form = [inputs.generate_named("kneser", n=12, k=2), inputs.gnp(np.random.default_rng(5), 70, .3)]
 inputs.write_lines(pathlib.Path(sys.argv[1], "long.g6"),
                    [inputs.encode_graph6(g).decode("ascii") for g in long_form])
+golomb = inputs.generate_named("golomb")
+inputs.write_lines(pathlib.Path(sys.argv[1], "golomb.txt"),
+                   [str(golomb.n), *(f"{i} {j}" for i, j in zip(golomb.rows.tolist(), golomb.cols.tolist()))])
 """
 NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 CASES = [[f"bounds{s}", "bounds", f"bounds{s}.g6"] for s in (1, 2, 13)]
 CASES += [["bounds-long", "bounds", "long.g6"]]    # graph6 long form: Kneser(12,2), n = 66, and G(70, .3)
+CASES += [["bounds-edges", "bounds", "golomb.txt"],    # the edge-list reader
+          ["theta-edges", "theta", "golomb.txt", "--max-iter", "400"]]
 CASES += [[f"theta{s}", "theta", f"theta{s}.g6", "--max-iter", "400"] for s in (1, 2)]
 # seed 203 fails a scaling and an optimizer case (ROADMAP item 4): exit 1 on both sides
 CASES += [[f"verify{s}", "verify", "all", "--random", "500", "--seed", str(s)] for s in (1, 2, 203)]
