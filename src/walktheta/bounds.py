@@ -5,8 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import spectral
-from .graphs import Graph, adjacency, laplacian, min_degree
+from .graphs import Graph, adjacency
 
 __all__ = ["BoundReport", "laplacian_bound", "report"]
 
@@ -72,8 +74,13 @@ def laplacian_bound(g: Graph) -> float:
     """n * (1 - min_degree / lam_max(L)); edgeless graphs give the trivial n."""
     if not g.num_edges:
         return float(g.n)
-    mu1 = float(spectral.eigh_checked(laplacian(g))[0][-1])   # checked, not clustered
-    return float(g.n * (1.0 - min_degree(g) / mu1))
+    return _laplacian_bound(adjacency(g), g.degrees())
+
+
+def _laplacian_bound(a: np.ndarray, deg: np.ndarray) -> float:
+    """n (1 - min(deg) / lam_max(L)) of L = diag(deg) - a, with edges; lam_max is bracketed, not decomposed."""
+    mu1 = spectral.lambda_max_bracketed(np.diag(deg) - a)
+    return float(len(deg) * (1.0 - int(deg.min()) / mu1))
 
 
 def report(g: Graph, known_alpha: int = None) -> BoundReport:
@@ -81,17 +88,19 @@ def report(g: Graph, known_alpha: int = None) -> BoundReport:
 
     When a known independence number is supplied, every computed bound must
     cover it; a violation raises since it would falsify a theorem. The
-    adjacency matrix is decomposed once and shared by the walkgen, ratio and
-    closed-form bounds; the Laplacian is decomposed and checked, not clustered.
+    adjacency matrix and the degrees are built once. The adjacency is
+    decomposed once and shared by the walkgen, ratio and closed-form bounds;
+    the Laplacian's lambda_max is read from eigvalsh and bracketed.
     """
     if g.num_edges:
-        data = spectral.eig_sym(adjacency(g))
+        a, deg = adjacency(g), g.degrees()
+        data = spectral.eig_sym(a)
         wg = spectral.walk_minimum(data, hi=0.0).value
-        hoff = _hoffman(data) if g.is_regular() else None
+        hoff = _hoffman(data) if deg.min() == deg.max() else None
         cf_value, cf_condition = _closed_form(data)
+        lap = _laplacian_bound(a, deg)
     else:
-        wg, hoff, cf_value, cf_condition = float(g.n), None, None, None
-    lap = laplacian_bound(g)
+        wg, hoff, cf_value, cf_condition, lap = float(g.n), None, None, None, float(g.n)
     dominance_ok = wg <= lap + DOMINANCE_TOL
     if known_alpha is not None:
         for name, value in (("walkgen", wg), ("laplacian", lap),

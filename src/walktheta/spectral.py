@@ -10,8 +10,8 @@ import numpy as np
 from .reciprocal import IntervalMin, ReciprocalSum
 
 __all__ = [
-    "SpectralData", "eigh_checked", "check_eigenpairs", "lambda_max_upper", "eig_sym", "cluster_weights",
-    "merge_terms", "extreme_eigenspace", "walk_minimum",
+    "SpectralData", "eigh_checked", "check_eigenpairs", "lambda_max_upper", "lambda_max_bracketed", "eig_sym",
+    "cluster_weights", "merge_terms", "extreme_eigenspace", "walk_minimum",
 ]
 
 # Relative tolerances: eigensolver residual, eigenvalue clustering, the
@@ -63,11 +63,7 @@ def eigh_checked(m: np.ndarray) -> tuple:
     non-square or non-symmetric input and LinAlgError when the eigenpairs
     fail the residual check.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.array_equal(m, m.T):
-        raise ValueError("matrix is not exactly symmetric")
+    m = _symmetric(m)
     vals, vecs = np.linalg.eigh(m)
     return vals, vecs, check_eigenpairs(m, vals, vecs)
 
@@ -76,37 +72,81 @@ def check_eigenpairs(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float
     """Frobenius norm of m; LinAlgError unless max|m vecs - vecs diag(vals)| <= 100 TOL_EIG norm n."""
     scale = float(np.linalg.norm(m))
     resid = float(np.max(np.abs(m @ vecs - vecs * vals), initial=0.0))
-    if scale > 0 and resid > 100 * TOL_EIG * scale * len(m):
+    if scale > 0 and resid > _eig_tol(scale, len(m)):
         raise np.linalg.LinAlgError(
             f"eigendecomposition residual {resid:.3e} exceeds tolerance at scale {scale:.3e}"
         )
     return scale
 
 
+def _eig_tol(scale: float, n: int) -> float:
+    """Absolute eigensolver tolerance for an n x n matrix of Frobenius norm `scale`."""
+    return 100 * TOL_EIG * scale * n
+
+
+def _symmetric(m) -> np.ndarray:
+    """m as a float array; ValueError unless it is square and equals its transpose exactly."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.array_equal(m, m.T):
+        raise ValueError("matrix is not exactly symmetric")
+    return m
+
+
+def _factors_above(m: np.ndarray, s: float) -> bool:
+    """Whether the floating Cholesky of sI - m succeeds after Rump's shift; success proves s > lambda_max(m).
+
+    The shift is c = 2 gamma_{n+1}/(1 - gamma_{n+1}) tr(sI - m), gamma_k = k eps/(1 - k eps): Rump's
+    sufficient shift (BIT 46:433, 2006), doubled to cover the rounding of the diagonal, with eps
+    (TOL_ZERO) twice the unit roundoff.
+    """
+    n, shifted = len(m), -m
+    gamma = (n + 1) * TOL_ZERO / (1.0 - (n + 1) * TOL_ZERO)
+    diag = s - m.diagonal()
+    shifted.flat[::n + 1] = diag - 2.0 * gamma / (1.0 - gamma) * math.fsum(diag.tolist())
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def lambda_max_upper(m: np.ndarray) -> float:
     """A float u >= lambda_max(m) of an exactly symmetric m, proved by a floating Cholesky of uI - m.
 
-    u is eigvalsh's lambda_max plus delta = 8 n eps max(1, |lambda_max|), doubled until the Cholesky of
-    (u - c)I - m succeeds; c = 2 gamma_{n+1}/(1 - gamma_{n+1}) tr(uI - m), gamma_k = k eps/(1 - k eps), is
-    Rump's sufficient shift (BIT 46:433, 2006), doubled to cover the rounding of the diagonal, with eps
-    (TOL_ZERO) twice the unit roundoff. Raises LinAlgError when 64 tries certify no u.
+    u is eigvalsh's lambda_max plus delta = 8 n eps max(1, |lambda_max|), doubled until `_factors_above`
+    proves it. Raises LinAlgError when 64 tries certify no u.
     """
-    m = np.asarray(m, dtype=float)
-    if not np.array_equal(m, m.T):
-        raise ValueError("matrix is not exactly symmetric")
-    n, lam, shifted = len(m), float(np.linalg.eigvalsh(m)[-1]), -m
-    gamma = (n + 1) * TOL_ZERO / (1.0 - (n + 1) * TOL_ZERO)
+    m = _symmetric(m)
+    n, lam = len(m), float(np.linalg.eigvalsh(m)[-1])
     delta = 8 * n * TOL_ZERO * max(1.0, abs(lam))
     for _ in range(64):
         u, delta = lam + delta, 2.0 * delta
-        diag = u - np.diag(m)
-        shifted[range(n), range(n)] = diag - 2.0 * gamma / (1.0 - gamma) * math.fsum(diag.tolist())
-        try:
-            np.linalg.cholesky(shifted)
+        if _factors_above(m, u):
             return u
-        except np.linalg.LinAlgError:
-            continue
     raise np.linalg.LinAlgError(f"no certified upper bound on lambda_max near {lam!r}")
+
+
+def lambda_max_bracketed(m: np.ndarray) -> float:
+    """eigvalsh's lambda_max of a nonzero, exactly symmetric m, checked by two Rump-shifted Cholesky tries.
+
+    With tol = 100 TOL_EIG ||m||_F n, the tolerance of `check_eigenpairs`, (lam + tol)I - m must factor,
+    which proves lambda_max < lam + tol, and (lam - tol)I - m must not, as factoring would prove lam
+    too high. Raises LinAlgError naming the failed end of the bracket.
+    """
+    m = _symmetric(m)
+    lam = float(np.linalg.eigvalsh(m)[-1])
+    tol = _eig_tol(float(np.linalg.norm(m)), len(m))
+    if not _factors_above(m, lam + tol):
+        raise np.linalg.LinAlgError(
+            f"eigvalsh's lambda_max {lam!r} fails its bracket's upper end: ({lam!r} + {tol:.3e})I - m does not factor"
+        )
+    if _factors_above(m, lam - tol):
+        raise np.linalg.LinAlgError(
+            f"eigvalsh's lambda_max {lam!r} fails its bracket's lower end: ({lam!r} - {tol:.3e})I - m factors"
+        )
+    return lam
 
 
 def eig_sym(m: np.ndarray) -> SpectralData:
@@ -163,10 +203,16 @@ def walk_minimum(data: SpectralData, hi: float = math.inf) -> IntervalMin:
 
     The function is convex there, and endpoints sitting on poles are +inf
     walls. A walk with no nonzero rate (A = 0, or A 1 = 0) is the constant n,
-    minimal at x = 0. `data` needs only `walk`, `n`, `lam_min` and `lam_max`.
+    minimal at x = 0. Any other walk needs a spectrum of both signs: with one
+    sign the interval is a pole or empty, and ValueError is raised. `data`
+    needs only `walk`, `n`, `lam_min` and `lam_max`.
     """
     if not any(data.walk.rates):
         return IntervalMin(0.0, float(data.n), False, 0.0)
+    if data.lam_min >= 0.0 or data.lam_max <= 0.0:
+        raise ValueError(
+            f"spectrum [{data.lam_min!r}, {data.lam_max!r}] has one sign: W has no interval minimum"
+        )
     lo = 1.0 / data.lam_min
     hi = min(hi, 1.0 / data.lam_max)
     if lo > hi:

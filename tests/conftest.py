@@ -30,28 +30,29 @@ def corpus():
     return build_corpus()
 
 
-def _record_matrices(monkeypatch, name: str) -> list:
+def record_matrices(monkeypatch, module, name: str) -> list:
+    """Every matrix passed to `module.name` from now on, copied, in call order."""
     calls = []
-    real = getattr(spectral, name)
+    real = getattr(module, name)
 
     def recording(m):
-        calls.append(np.asarray(m, dtype=float))
+        calls.append(np.array(m, dtype=float))
         return real(m)
 
-    monkeypatch.setattr(spectral, name, recording)
+    monkeypatch.setattr(module, name, recording)
     return calls
 
 
 @pytest.fixture
 def eig_calls(monkeypatch) -> list:
     """Every matrix passed to `spectral.eig_sym` during the test, in call order."""
-    return _record_matrices(monkeypatch, "eig_sym")
+    return record_matrices(monkeypatch, spectral, "eig_sym")
 
 
 @pytest.fixture
 def eigh_checked_calls(monkeypatch) -> list:
     """Every matrix passed to `spectral.eigh_checked`, directly or by `eig_sym`, in call order."""
-    return _record_matrices(monkeypatch, "eigh_checked")
+    return record_matrices(monkeypatch, spectral, "eigh_checked")
 
 
 def plain_alpha(g: Graph) -> int:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import plain_alpha, random_graph
+from conftest import fixture_graphs, plain_alpha, random_graph, record_matrices
 from walktheta.bounds import laplacian_bound, report
-from walktheta.graphs import adjacency, generate_named, laplacian, parse_edge_list
+from walktheta.graphs import Graph, adjacency, generate_named, laplacian, parse_edge_list
 from walktheta.independent_set import independence_number
 from walktheta.spectral import eig_sym
 
@@ -141,21 +141,41 @@ def test_every_bound_at_least_one(corpus):
         assert rep.laplacian_bound >= 1.0 - 1e-9, name
 
 
-def test_report_decomposes_adjacency_and_laplacian_once(eig_calls, eigh_checked_calls):
+def test_report_decomposes_adjacency_once_and_brackets_laplacian(monkeypatch, eig_calls, eigh_checked_calls):
     # golomb is irregular; petersen is regular, so the ratio bound is computed too.
-    # Both matrices pass the checked eigensolver; only the adjacency is clustered.
+    # Only the adjacency gets eigenvectors; L's lambda_max is eigvalsh's, bracketed by two Cholesky tries.
+    linalg = {name: record_matrices(monkeypatch, np.linalg, name) for name in ("eigh", "eigvalsh", "cholesky")}
+    every = (eig_calls, eigh_checked_calls, *linalg.values())
     for name in ("golomb", "petersen"):
         g = generate_named(name)
-        eig_calls.clear()
-        eigh_checked_calls.clear()
+        a, lap = adjacency(g), laplacian(g)
+        for calls in every:
+            calls.clear()
         rep = report(g)
         assert rep.hoffman_regular is None if name == "golomb" else rep.hoffman_regular is not None
-        assert len(eigh_checked_calls) == 2, name
-        assert np.array_equal(eigh_checked_calls[0], adjacency(g)), name
-        assert np.array_equal(eigh_checked_calls[1], laplacian(g)), name
-        assert len(eig_calls) == 1, name
-        assert np.array_equal(eig_calls[0], adjacency(g)), name
-    eig_calls.clear()
-    eigh_checked_calls.clear()
+        for calls in (eig_calls, eigh_checked_calls, linalg["eigh"]):
+            assert len(calls) == 1 and np.array_equal(calls[0], a), name
+        assert len(linalg["eigvalsh"]) == 1 and np.array_equal(linalg["eigvalsh"][0], lap), name
+        off_diagonal = ~np.eye(g.n, dtype=bool)
+        assert len(linalg["cholesky"]) == 2, name
+        for shifted in linalg["cholesky"]:
+            assert np.array_equal(shifted[off_diagonal], -lap[off_diagonal]), name
+    for calls in every:
+        calls.clear()
     report(generate_named("empty", n=4))
-    assert eig_calls == [] and eigh_checked_calls == []
+    assert not any(every)
+
+
+def test_laplacian_bound_agrees_with_eigh_on_atlas_and_fixtures():
+    nx = pytest.importorskip("networkx")
+    graphs = [Graph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()[1:]]
+    graphs += [g for _, g in fixture_graphs()]
+    assert len(graphs) >= 1252
+    for g in graphs:
+        got = laplacian_bound(g)
+        if not g.num_edges:
+            assert got == g.n
+            continue
+        deg = g.degrees()
+        want = g.n * (1.0 - deg.min() / np.linalg.eigh(laplacian(g))[0][-1])
+        assert abs(got - want) <= 1e-13 * abs(want), (g, got, want)

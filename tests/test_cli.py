@@ -359,20 +359,21 @@ def test_numeric_failure_exits_1(capsys, monkeypatch):
     assert "residual" in err
 
 
-def test_laplacian_residual_failure_exits_1(capsys, monkeypatch):
-    # wrong vectors only for the Laplacian (the one matrix with a nonzero
-    # diagonal): its residual is still checked although it is not clustered
-    real = np.linalg.eigh
+def test_laplacian_bracket_failure_exits_1(capsys, monkeypatch):
+    # eigvalsh, which only the Laplacian goes through, reports lambda_max off by 1e-3 ||L||:
+    # too high, the bracket's lower end factors; too low, its upper end does not
+    real = np.linalg.eigvalsh
+    for shift, end in ((1e-3, "lower end"), (-1e-3, "upper end")):
+        def eigvalsh(m, shift=shift):
+            vals = real(m)
+            vals[-1] += shift * np.linalg.norm(m)
+            return vals
 
-    def eigh(m):
-        vals, vecs = real(m)
-        return (vals, vecs[:, ::-1]) if np.trace(m) > 0 else (vals, vecs)
-
-    monkeypatch.setattr(np.linalg, "eigh", eigh)
-    code, out, err = run_cli(capsys, "bounds", "--named", "golomb")
-    assert code == 1
-    assert out == ""
-    assert "residual" in err
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        code, out, err = run_cli(capsys, "bounds", "--named", "golomb")
+        assert code == 1
+        assert out == ""
+        assert end in err
 
 
 def test_verify_duality_scans_once_per_case(capsys, monkeypatch):

@@ -7,6 +7,7 @@ from conftest import fixture_graphs, random_weighted_matrix
 from walktheta.graphs import adjacency, generate_named
 from walktheta.reciprocal import PoleProximityError, ReciprocalSum
 from walktheta.spectral import eig_sym, walk_minimum
+from walktheta.theta import extract_optimizer, optimal_scaling
 
 SQRT5 = math.sqrt(5.0)
 
@@ -76,6 +77,17 @@ def test_tiny_fixture_adjacencies_walk_to_n():
         data = eig_sym(1e-13 * adjacency(g))
         assert data.walk.rates == (0.0,), name
         assert walk_minimum(data).value == g.n, name
+
+
+def test_one_signed_spectrum_has_no_interval_minimum():
+    """A nonzero walk on a definite or semidefinite matrix: its interval is a pole or empty."""
+    one_signed = [np.eye(3), -np.eye(3), np.diag([1.0, 2.0]), np.ones((2, 2)),
+                  np.diag([0.0, 1.0]), np.diag([0.0, -1.0])]
+    for m in one_signed:
+        for solve in (lambda m: walk_minimum(eig_sym(m)), optimal_scaling, extract_optimizer):
+            with pytest.raises(ValueError, match="has one sign") as exc:
+                solve(m)
+            assert exc.type is ValueError, m
 
 
 def test_subinterval_c5():
