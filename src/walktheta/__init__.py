@@ -6,8 +6,6 @@ from .graphs import (
     adjacency,
     encode_graph6,
     generate_named,
-    laplacian,
-    min_degree,
     parse_edge_list,
     parse_graph6,
     strong_product,
@@ -23,7 +21,7 @@ from .reciprocal import (
     verify_duality,
 )
 from .spectral import SpectralData, cluster_weights, eig_sym, walk_minimum
-from .bounds import BoundReport, laplacian_bound, report
+from .bounds import laplacian_bound, report
 from .independent_set import independence_number, max_independent_set
 from .theta import (
     OptimizerVector,

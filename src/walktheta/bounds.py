@@ -3,47 +3,16 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import spectral
 from .graphs import Graph, adjacency
 
-__all__ = ["BoundReport", "laplacian_bound", "report"]
+__all__ = ["laplacian_bound", "report"]
 
 DOMINANCE_TOL = 1e-8
 CONDITION_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """All bounds for one graph, with the dominance check already evaluated."""
-
-    n: int
-    hoffman_regular: float          # None unless the graph is regular with edges
-    walkgen_bound: float
-    closed_form_value: float        # None when the ratio condition fails or no edges
-    closed_form_condition: bool     # None for edgeless graphs
-    laplacian_bound: float
-    independence_witness: int
-    dominance_ok: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "bounds": {
-                "hoffman": self.hoffman_regular,
-                "walkgen": self.walkgen_bound,
-                "closed_form": {
-                    "value": self.closed_form_value,
-                    "condition": self.closed_form_condition,
-                },
-                "laplacian": self.laplacian_bound,
-            },
-            "dominance_ok": self.dominance_ok,
-            "alpha_witness": self.independence_witness,
-        }
 
 
 def _hoffman(data: spectral.SpectralData) -> float:
@@ -70,27 +39,22 @@ def _closed_form(data: spectral.SpectralData) -> tuple:
     return float(value), True
 
 
-def laplacian_bound(g: Graph) -> float:
-    """n * (1 - min_degree / lam_max(L)); edgeless graphs give the trivial n."""
-    if not g.num_edges:
-        return float(g.n)
-    return _laplacian_bound(adjacency(g), g.degrees())
-
-
-def _laplacian_bound(a: np.ndarray, deg: np.ndarray) -> float:
+def laplacian_bound(a: np.ndarray, deg: np.ndarray) -> float:
     """n (1 - min(deg) / lam_max(L)) of L = diag(deg) - a, with edges; lam_max is bracketed, not decomposed."""
     mu1 = spectral.lambda_max_bracketed(np.diag(deg) - a)
     return float(len(deg) * (1.0 - int(deg.min()) / mu1))
 
 
-def report(g: Graph, known_alpha: int = None) -> BoundReport:
-    """Assemble all bounds and check dominance of the walkgen bound.
+def report(g: Graph, known_alpha: int = None) -> dict:
+    """All bounds of g, as the JSON dict `walktheta bounds` prints, with the dominance check evaluated.
 
     When a known independence number is supplied, every computed bound must
     cover it; a violation raises since it would falsify a theorem. The
     adjacency matrix and the degrees are built once. The adjacency is
     decomposed once and shared by the walkgen, ratio and closed-form bounds;
-    the Laplacian's lambda_max is read from eigvalsh and bracketed.
+    the Laplacian's lambda_max is read from eigvalsh and bracketed. The ratio
+    bound is null unless g is regular with edges, the closed form unless its
+    condition holds; an edgeless g gets walkgen = laplacian = n, condition null.
     """
     if g.num_edges:
         a, deg = adjacency(g), g.degrees()
@@ -98,10 +62,9 @@ def report(g: Graph, known_alpha: int = None) -> BoundReport:
         wg = spectral.walk_minimum(data, hi=0.0).value
         hoff = _hoffman(data) if deg.min() == deg.max() else None
         cf_value, cf_condition = _closed_form(data)
-        lap = _laplacian_bound(a, deg)
+        lap = laplacian_bound(a, deg)
     else:
         wg, hoff, cf_value, cf_condition, lap = float(g.n), None, None, None, float(g.n)
-    dominance_ok = wg <= lap + DOMINANCE_TOL
     if known_alpha is not None:
         for name, value in (("walkgen", wg), ("laplacian", lap),
                             ("hoffman", hoff), ("closed_form", cf_value)):
@@ -109,13 +72,15 @@ def report(g: Graph, known_alpha: int = None) -> BoundReport:
                 raise ValueError(
                     f"{name} bound {value} fell below the known independence number {known_alpha}"
                 )
-    return BoundReport(
+    return _Report(
         n=g.n,
-        hoffman_regular=hoff,
-        walkgen_bound=float(wg),
-        closed_form_value=cf_value,
-        closed_form_condition=cf_condition,
-        laplacian_bound=float(lap),
-        independence_witness=known_alpha,
-        dominance_ok=bool(dominance_ok),
+        bounds={"hoffman": hoff, "walkgen": wg, "closed_form": {"value": cf_value, "condition": cf_condition},
+                "laplacian": lap},
+        dominance_ok=wg <= lap + DOMINANCE_TOL,
+        alpha_witness=known_alpha,
     )
+
+
+class _Report(dict):
+    """A report's dict; `to_json_dict`, a plain copy, is the call perfbench/record_oracle.py makes."""
+    to_json_dict = dict.copy

@@ -77,7 +77,11 @@ def _output(args):
         out = sys.stdout
         yield lambda line: out.write(line + "\n")
         return
-    with open(args.output, "w") as fh:
+    try:
+        fh = open(args.output, "w")
+    except OSError as exc:
+        raise InputError(f"{args.output}: {exc.strerror}") from exc
+    with fh:
         yield lambda line: fh.write(line + "\n")
 
 
@@ -87,8 +91,8 @@ def cmd_bounds(args) -> int:
     with _output(args) as write:
         for g in graphs:
             r = bounds.report(g, known_alpha=independence_number(g) if args.alpha_oracle else None)
-            dominance_ok = dominance_ok and r.dominance_ok
-            write(json.dumps(r.to_json_dict()))
+            dominance_ok = dominance_ok and r["dominance_ok"]
+            write(json.dumps(r))
     return 0 if dominance_ok else 1
 
 
@@ -156,8 +160,8 @@ def _suite_dominance(args, graphs, emit) -> None:
             graphs.append(random_graph(rng))
     for i, g in enumerate(graphs):
         r = bounds.report(g)
-        emit({"suite": "dominance", "case": i, "ok": bool(r.dominance_ok),
-              "walkgen": r.walkgen_bound, "laplacian": r.laplacian_bound})
+        emit({"suite": "dominance", "case": i, "ok": r["dominance_ok"],
+              "walkgen": r["bounds"]["walkgen"], "laplacian": r["bounds"]["laplacian"]})
 
 
 def _suite_optimizer(args, graphs, emit) -> None:

@@ -15,8 +15,6 @@ __all__ = [
     "parse_edge_list",
     "generate_named",
     "adjacency",
-    "laplacian",
-    "min_degree",
     "strong_product",
     "NAMED_GRAPHS",
 ]
@@ -110,15 +108,8 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.bincount(np.concatenate([self.rows, self.cols]), minlength=self.n)
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in self.edges
-
     def add_isolated_vertex(self) -> "Graph":
         return Graph._from_index(self.n + 1, self.rows, self.cols)
-
-    def is_regular(self) -> bool:
-        deg = self.degrees()
-        return self.n == 0 or bool((deg == deg[0]).all())
 
 
 # graph6 vertex counts: one byte up to 62, '~' plus three bytes (18 bits) above.
@@ -311,15 +302,6 @@ def adjacency(g: Graph, weights=1.0) -> np.ndarray:
     a[g.rows, g.cols] = weights
     a[g.cols, g.rows] = weights
     return a
-
-
-def laplacian(g: Graph) -> np.ndarray:
-    """L = D - A; row sums are exactly zero."""
-    return np.diag(g.degrees()) - adjacency(g)
-
-
-def min_degree(g: Graph) -> int:
-    return int(g.degrees().min()) if g.n else 0
 
 
 def strong_product(g: Graph, h: Graph) -> Graph:

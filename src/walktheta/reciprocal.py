@@ -244,22 +244,17 @@ def _hull(u: list, v: list) -> tuple:
     return low, high
 
 
-class CriticalPoints(list):
-    """(x, f(x), sign of f'' at x) per critical point, ascending, and the count of `unresolved` intervals."""
-
-    unresolved = 0
-
-
-def enumerate_critical_points(f: ReciprocalSum) -> CriticalPoints:
+def enumerate_critical_points(f: ReciprocalSum) -> tuple:
     """All critical points, each root of f' bracketed by `_isolate` and found by `_root`.
 
-    The cuts are the poles and +-reach, a power of two, so 1 / reach is exact. Beyond
-    them u = 1 / x gives f'(x) = u^2 F'(u) for the sum F with rates 1 / b, convex where
-    |u| <= 1 / reach < 1 / (2 max|pole|): the tails hold at most one root, on the side
-    away from the sign of F'(0).
+    Returns (points, unresolved): (x, f(x), sign of f'' at x) per point, ascending, and the
+    count of isolation intervals left undecided. The cuts are the poles and +-reach, a power
+    of two, so 1 / reach is exact. Beyond them u = 1 / x gives f'(x) = u^2 F'(u) for the sum
+    F with rates 1 / b, convex where |u| <= 1 / reach < 1 / (2 max|pole|): the tails hold at
+    most one root, on the side away from the sign of F'(0).
     """
     if set(f.rates) <= {0.0}:
-        return CriticalPoints()
+        return [], 0
     reach = 2.0 ** math.ceil(math.log2(2.0 * max(map(abs, f.poles)) + 1.0))
     brackets, found, unresolved = _isolate(f, [-reach, *f.poles, reach])
     found += [_root(f, a, b, da, X_TOL * max(1.0, abs(a), abs(b)), 0.0) for a, b, da in brackets]
@@ -267,15 +262,13 @@ def enumerate_critical_points(f: ReciprocalSum) -> CriticalPoints:
     a, b = sorted((math.copysign(1.0 / reach, -tail.derivative(0.0)), 0.0))
     if tail.derivative(a) * tail.derivative(b) < 0.0:
         found.append(1.0 / _root(tail, a, b, tail.derivative(a), X_TOL / reach, 0.0))
-    cps = CriticalPoints((x, f.value(x), int(np.sign(f.second_derivative(x)))) for x in sorted(found))
-    cps.unresolved = unresolved
-    return cps
+    return [(x, f.value(x), int(np.sign(f.second_derivative(x)))) for x in sorted(found)], unresolved
 
 
 def verify_duality(f: ReciprocalSum) -> CriticalReport:
     """Check that the largest critical value is the central-strip minimum."""
-    found = enumerate_critical_points(f)
-    cps, unresolved, strip = tuple(found), found.unresolved, central_strip(f)
+    found, unresolved = enumerate_critical_points(f)
+    cps, strip = tuple(found), central_strip(f)
     if not cps:
         return CriticalReport(cps, None, strip, None, unresolved == 0, unresolved)
     maximal = max(((x, v) for x, v, _ in cps), key=lambda t: t[1])

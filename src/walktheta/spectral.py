@@ -25,19 +25,18 @@ TOL_ZERO = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigenvalues (ascending), orthonormal eigenvector columns, norm and walk-generating function.
+    """Eigenvalues (ascending), orthonormal eigenvector columns and walk-generating function.
 
     `walk`, computed on construction by `cluster_weights`, has one term per
     eigenvalue cluster: its rate is the cluster's representative eigenvalue,
     its weight the summed squared overlap of the all-ones vector with the
     cluster's eigenvectors. Clusters whose weight vanishes numerically are
     dropped, so the surviving weights are strictly positive and sum to n up
-    to roundoff. `norm` is the Frobenius norm of the decomposed matrix.
+    to roundoff.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    norm: float
     walk: ReciprocalSum = field(init=False)
 
     def __post_init__(self):
@@ -57,26 +56,25 @@ class SpectralData:
 
 
 def eigh_checked(m: np.ndarray) -> tuple:
-    """Eigenvalues (ascending), eigenvector columns and Frobenius norm of an exactly symmetric matrix.
+    """Eigenvalues (ascending) and eigenvector columns of an exactly symmetric matrix.
 
-    The norm is the scale of the residual check. Raises ValueError for a
-    non-square or non-symmetric input and LinAlgError when the eigenpairs
-    fail the residual check.
+    Raises ValueError for a non-square or non-symmetric input and LinAlgError
+    when the eigenpairs fail `check_eigenpairs`.
     """
     m = _symmetric(m)
     vals, vecs = np.linalg.eigh(m)
-    return vals, vecs, check_eigenpairs(m, vals, vecs)
+    check_eigenpairs(m, vals, vecs)
+    return vals, vecs
 
 
-def check_eigenpairs(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> float:
-    """Frobenius norm of m; LinAlgError unless max|m vecs - vecs diag(vals)| <= 100 TOL_EIG norm n."""
+def check_eigenpairs(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
+    """LinAlgError unless max|m vecs - vecs diag(vals)| <= 100 TOL_EIG ||m||_F n."""
     scale = float(np.linalg.norm(m))
     resid = float(np.max(np.abs(m @ vecs - vecs * vals), initial=0.0))
     if scale > 0 and resid > _eig_tol(scale, len(m)):
         raise np.linalg.LinAlgError(
             f"eigendecomposition residual {resid:.3e} exceeds tolerance at scale {scale:.3e}"
         )
-    return scale
 
 
 def _eig_tol(scale: float, n: int) -> float:

@@ -96,7 +96,7 @@ def minimize_theta(g: Graph, max_iter: int = 5000, known_alpha: int = None) -> T
         y0 = -(MU * (np.trace(x) - 1.0) + np.trace(s) + n) / n
         v = adjacency(g, w) - ones - MU * x - y0 * np.eye(n)
         v = 0.5 * (v + v.T)
-        vals, vecs, _ = spectral.eigh_checked(v)
+        vals, vecs = spectral.eigh_checked(v)
         s = (vecs * np.maximum(vals, 0.0)) @ vecs.T
         x = (s - v) / MU
         if iterations % CHECK_EVERY == 0 or iterations == max_iter:
@@ -222,7 +222,7 @@ def _walk_value(m: np.ndarray, x):
 
 def _valid_gamma_samples(data: spectral.SpectralData, k: int, rng: np.random.Generator = None):
     """Gammas of the form -1/x for x inside the spectral interval (always valid)."""
-    if data.norm == 0.0:
+    if not any(data.walk.rates):
         if rng is None:
             return [1.0, -1.0] + list(np.linspace(0.5, 2.0, k - 2))
         return list(rng.uniform(0.5, 2.0, size=k))

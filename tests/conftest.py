@@ -1,4 +1,4 @@
-"""Shared fixtures: a graph corpus, random generators, and plain alpha and scaling oracles."""
+"""Shared fixtures: a graph corpus, random generators, a Laplacian, and plain alpha and scaling oracles."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import pytest
 from walktheta import spectral
 from walktheta.corpus import fixture_graphs, random_graph  # noqa: F401 (re-exported)
 from walktheta.corpus import random_weighted as random_weighted_matrix  # noqa: F401
-from walktheta.graphs import Graph, generate_named
+from walktheta.graphs import Graph, adjacency, generate_named
 
 
 def build_corpus() -> list:
@@ -53,6 +53,11 @@ def eig_calls(monkeypatch) -> list:
 def eigh_checked_calls(monkeypatch) -> list:
     """Every matrix passed to `spectral.eigh_checked`, directly or by `eig_sym`, in call order."""
     return record_matrices(monkeypatch, spectral, "eigh_checked")
+
+
+def laplacian(g: Graph) -> np.ndarray:
+    """L = D - A, as `bounds.laplacian_bound` builds it from `adjacency` and `Graph.degrees`."""
+    return np.diag(g.degrees()) - adjacency(g)
 
 
 def plain_alpha(g: Graph) -> int:

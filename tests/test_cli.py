@@ -1,15 +1,19 @@
 import argparse
+import errno
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from walktheta import cli, reciprocal, theta
+import walktheta
+from walktheta import bounds, cli, reciprocal, theta
 from walktheta.cli import main
 from walktheta.corpus import fixture_graphs, random_weighted
 from walktheta.graphs import Graph, adjacency, encode_graph6, generate_named
@@ -35,6 +39,13 @@ def test_bounds_named_path17(capsys):
     assert code == 0
     payload = json.loads(out.strip())
     assert payload["bounds"]["walkgen"] == pytest.approx(9.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("name,n,alpha", [("golomb", None, 4), ("empty", 4, 4)])
+def test_bounds_prints_the_report_dict(capsys, name, n, alpha):
+    code, out, _ = run_cli(capsys, "bounds", "--named", name, *(["--n", str(n)] if n else []), "--alpha-oracle")
+    assert code == 0
+    assert out == json.dumps(bounds.report(generate_named(name, n=n), known_alpha=alpha)) + "\n"
 
 
 def test_bounds_empty_corpus_file(capsys, tmp_path):
@@ -461,6 +472,39 @@ def test_option_census():
     assert sum(map(len, census.values())) == 29
 
 
+def test_public_api_census():
+    """The names the package and each module's `__all__` export; a new or deleted name must change this list."""
+    package = sorted(name for name, value in vars(walktheta).items()
+                     if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert package == [
+        "CriticalReport", "Graph", "Graph6ParseError", "IntervalMin", "OptimizerVector", "PoleProximityError",
+        "ReciprocalSum", "SpectralData", "ThetaEstimate", "adjacency", "central_strip", "cluster_weights",
+        "eig_sym", "encode_graph6", "enumerate_critical_points", "extract_optimizer", "generate_named",
+        "has_critical_points", "independence_number", "laplacian_bound", "max_independent_set", "minimize_theta",
+        "optimal_scaling", "parse_edge_list", "parse_graph6", "report", "strong_product",
+        "submultiplicativity_check", "verify_duality", "walk_minimum",
+    ]
+    modules = {m: sorted(importlib.import_module(f"walktheta.{m}").__all__)
+               for m in ("graphs", "reciprocal", "spectral", "bounds", "independent_set", "theta", "corpus")}
+    assert modules == {
+        "graphs": ["Graph", "Graph6ParseError", "NAMED_GRAPHS", "adjacency", "encode_graph6", "generate_named",
+                   "parse_edge_list", "parse_graph6", "strong_product"],
+        "reciprocal": ["CriticalReport", "IntervalMin", "PoleProximityError", "ReciprocalSum", "central_strip",
+                       "enumerate_critical_points", "has_critical_points", "verify_duality"],
+        "spectral": ["SpectralData", "check_eigenpairs", "cluster_weights", "eig_sym", "eigh_checked",
+                     "extreme_eigenspace", "lambda_max_bracketed", "lambda_max_upper", "merge_terms",
+                     "walk_minimum"],
+        "bounds": ["laplacian_bound", "report"],
+        "independent_set": ["independence_number", "max_independent_set"],
+        "theta": ["OptimizerVector", "ThetaEstimate", "extract_optimizer", "minimize_theta", "optimal_scaling",
+                  "submultiplicativity_check"],
+        "corpus": ["fixture_graphs", "random_graph", "random_instance", "random_weighted"],
+    }
+    for name, exported in modules.items():
+        module = importlib.import_module(f"walktheta.{name}")
+        assert all(hasattr(module, attr) for attr in exported), name
+
+
 @pytest.mark.parametrize("argv", [["bounds"], ["theta"], ["plot"], ["verify", "dominance"]])
 def test_file_and_named_together_is_usage_error(capsys, tmp_path, argv):
     corpus = tmp_path / "c.g6"
@@ -560,6 +604,20 @@ def test_missing_input_file_opens_no_output(capsys, tmp_path, argv):
     assert code == 2
     assert "absent.g6" in err
     assert not report.exists()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unopenable_output_is_usage_error(capsys, tmp_path, where):
+    edges = tmp_path / "e.txt"
+    edges.write_text("3\n0 1\n1 2\n")
+    if where == "directory":
+        target, err_no = tmp_path, errno.EISDIR
+    else:
+        target, err_no = tmp_path / "absent" / "x.json", errno.ENOENT
+    code, out, err = run_cli(capsys, "bounds", str(edges), "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"{target}: {os.strerror(err_no)}\n"
 
 
 @pytest.mark.parametrize("suite", ["duality", "scaling", "product", "optimizer"])

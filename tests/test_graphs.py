@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import laplacian
 from walktheta.graphs import (
     Graph,
     Graph6ParseError,
     adjacency,
     encode_graph6,
     generate_named,
-    laplacian,
-    min_degree,
     parse_edge_list,
     parse_graph6,
     strong_product,
@@ -202,7 +201,7 @@ def test_generate_golomb():
     g = generate_named("golomb")
     assert g.n == 10 and g.num_edges == 18
     assert max(g.degrees()) == 6
-    assert min_degree(g) == 3
+    assert min(g.degrees()) == 3
 
 
 def test_generate_path17():
@@ -276,7 +275,7 @@ def test_empty_graph_matrices():
     g = generate_named("empty", n=3)
     assert not adjacency(g).any()
     assert not laplacian(g).any()
-    assert min_degree(g) == 0
+    assert not g.degrees().any()
 
 
 def test_laplacian_annihilates_ones(corpus):
@@ -311,7 +310,7 @@ def test_strong_product_matches_definition(corpus, na, nb):
     graphs = dict(corpus)
     g, h = graphs[na], graphs[nb]
     vertices = [(i, j) for i in range(g.n) for j in range(h.n)]
-    close = lambda f, a, b: a == b or f.has_edge(a, b)
+    close = lambda f, a, b: a == b or (min(a, b), max(a, b)) in f.edges
     expected = {
         (i * h.n + j, i2 * h.n + j2)
         for (i, j), (i2, j2) in combinations(vertices, 2)

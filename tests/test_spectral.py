@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import laplacian
 from walktheta import spectral
-from walktheta.graphs import adjacency, generate_named, laplacian, parse_graph6
-from walktheta.spectral import eig_sym, eigh_checked
+from walktheta.graphs import adjacency, generate_named, parse_graph6
+from walktheta.spectral import check_eigenpairs, eig_sym, eigh_checked
 
 # bounds-corpus reference line 44 (perfbench/reference/bounds_oracle.json): its
 # adjacency has an interior eigenvalue cluster whose all-ones weight is dropped
@@ -176,11 +177,11 @@ def test_rejects_asymmetric_input():
             decompose(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
-def test_eigh_checked_returns_the_norm_eig_sym_keeps():
+def test_eigh_checked_returns_the_pair_eig_sym_keeps():
     m = adjacency(generate_named("golomb"))
-    vals, vecs, scale = eigh_checked(m)
+    vals, vecs = eigh_checked(m)
     data = eig_sym(m)
-    assert scale == float(np.linalg.norm(m)) == data.norm
+    assert check_eigenpairs(m, vals, vecs) is None
     assert np.array_equal(vals, data.eigenvalues) and np.array_equal(vecs, data.eigenvectors)
 
 

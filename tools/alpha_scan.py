@@ -33,7 +33,7 @@ def scan(graphs: list) -> dict:
     worst = {key: 0.0 for key in KEYS}
     for g in graphs:
         alpha = independence_number(g)
-        bounds = report(g).to_json_dict()["bounds"]
+        bounds = report(g)["bounds"]
         bounds["closed_form"] = bounds["closed_form"]["value"]
         for key in KEYS:
             value = bounds[key]

@@ -38,6 +38,7 @@ NUMBER = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 CASES = [[f"bounds{s}", "bounds", f"bounds{s}.g6"] for s in (1, 2, 13)]
 CASES += [["bounds-long", "bounds", "long.g6"]]    # graph6 long form: Kneser(12,2), n = 66, and G(70, .3)
 CASES += [["bounds-edges", "bounds", "golomb.txt"],    # the edge-list reader
+          ["bounds-edgeless", "bounds", "--named", "empty", "--n", "4", "--alpha-oracle"],
           ["theta-edges", "theta", "golomb.txt", "--max-iter", "400"]]
 CASES += [[f"theta{s}", "theta", f"theta{s}.g6", "--max-iter", "400"] for s in (1, 2)]
 # seed 203 fails a scaling and an optimizer case (ROADMAP item 4): exit 1 on both sides
