@@ -9,10 +9,12 @@ import numpy as np
 from . import spectral
 from .graphs import Graph, adjacency
 
-__all__ = ["laplacian_bound", "report"]
+__all__ = ["laplacian_bound", "report", "reports"]
 
 DOMINANCE_TOL = 1e-8
 CONDITION_TOL = 1e-9
+# graphs per stacked decomposition: 32 saves less time, a whole file costs more memory
+CHUNK = 64
 
 
 def _hoffman(data: spectral.SpectralData) -> float:
@@ -39,10 +41,16 @@ def _closed_form(data: spectral.SpectralData) -> tuple:
     return float(value), True
 
 
-def laplacian_bound(a: np.ndarray, deg: np.ndarray) -> float:
-    """n (1 - min(deg) / lam_max(L)) of L = diag(deg) - a, with edges; lam_max is bracketed, not decomposed."""
-    mu1 = spectral.lambda_max_bracketed(np.diag(deg) - a)
-    return float(len(deg) * (1.0 - int(deg.min()) / mu1))
+def laplacian_bound(a: np.ndarray, deg: np.ndarray):
+    """n (1 - min(deg) / lam_max(L)) of L = diag(deg) - a, with edges; lam_max is bracketed, not decomposed.
+
+    a (..., n, n) and deg (..., n) may carry leading axes of same-order graphs: one `eigvalsh` then reads
+    the stack, and the bounds come as an array. One graph gives a float.
+    """
+    n = deg.shape[-1]
+    mu1 = spectral.lambda_max_bracketed(deg[..., :, None] * np.eye(n) - a)
+    bound = n * (1.0 - deg.min(axis=-1) / mu1)
+    return float(bound) if deg.ndim == 1 else bound
 
 
 def report(g: Graph, known_alpha: int = None) -> dict:
@@ -50,21 +58,80 @@ def report(g: Graph, known_alpha: int = None) -> dict:
 
     When a known independence number is supplied, every computed bound must
     cover it; a violation raises since it would falsify a theorem. The
-    adjacency matrix and the degrees are built once. The adjacency is
-    decomposed once and shared by the walkgen, ratio and closed-form bounds;
-    the Laplacian's lambda_max is read from eigvalsh and bracketed. The ratio
-    bound is null unless g is regular with edges, the closed form unless its
-    condition holds; an edgeless g gets walkgen = laplacian = n, condition null.
+    adjacency matrix is built once. It is decomposed once and shared by the
+    walkgen, ratio and closed-form bounds; the Laplacian's lambda_max is read
+    from eigvalsh and bracketed. The ratio bound is null unless g is regular
+    with edges, the closed form unless its condition holds; an edgeless g gets
+    walkgen = laplacian = n, condition null. `reports` takes many graphs.
     """
-    if g.num_edges:
-        a, deg = adjacency(g), g.degrees()
-        data = spectral.eig_sym(a)
-        wg = spectral.walk_minimum(data, hi=0.0).value
-        hoff = _hoffman(data) if deg.min() == deg.max() else None
-        cf_value, cf_condition = _closed_form(data)
-        lap = laplacian_bound(a, deg)
+    return _decomposed([(g, known_alpha)])[0]
+
+
+def reports(graphs, oracle=None):
+    """`report(g, oracle(g))` of each of `graphs`, in input order; with no oracle, known_alpha is None.
+
+    Graphs are read CHUNK at a time, and each same-order group of a chunk's
+    graphs with edges is decomposed in stacked calls: one checked `eigh` of
+    the adjacency matrices and one `eigvalsh` of the Laplacians, which give
+    each matrix the values a call on it alone gives. A chunk that raises
+    ValueError is recomputed one graph at a time, so that the error follows
+    the reports of the graphs before it, as does an error raised by `graphs`
+    or `oracle`.
+    """
+    graphs = iter(graphs)
+    while True:
+        chunk = []
+        try:
+            for g in graphs:
+                chunk.append((g, None if oracle is None else oracle(g)))
+                if len(chunk) == CHUNK:
+                    break
+        except Exception:
+            yield from _chunk_reports(chunk)
+            raise
+        yield from _chunk_reports(chunk)
+        if len(chunk) < CHUNK:
+            return
+
+
+def _chunk_reports(chunk: list):
+    """The reports of a chunk, or, if it raises ValueError, of its graphs one at a time up to the error."""
+    try:
+        done = _decomposed(chunk)
+    except ValueError:
+        for item in chunk:
+            yield _decomposed([item])[0]
+        return
+    yield from done
+
+
+def _decomposed(chunk: list) -> list:
+    """The reports of (graph, known_alpha) pairs; each order's graphs with edges share stacked decompositions."""
+    out, groups = [None] * len(chunk), {}
+    for k, (g, known_alpha) in enumerate(chunk):
+        if g.num_edges:
+            groups.setdefault(g.n, []).append(k)
+        else:
+            out[k] = _report(g, known_alpha, float(g.n))
+    for ks in groups.values():
+        a = np.stack([adjacency(chunk[k][0]) for k in ks])
+        deg = a.sum(axis=-1)
+        vals, vecs = spectral.eigh_checked(a)
+        laps = laplacian_bound(a, deg).tolist()
+        regular = (deg.min(axis=-1) == deg.max(axis=-1)).tolist()
+        for i, k in enumerate(ks):
+            out[k] = _report(*chunk[k], laps[i], spectral.SpectralData(vals[i], vecs[i]), regular[i])
+    return out
+
+
+def _report(g: Graph, known_alpha, lap: float, data=None, regular=False) -> dict:
+    """g's report from its Laplacian bound and, with edges, its decomposition and whether it is regular."""
+    if data is None:
+        wg, hoff, cf_value, cf_condition = float(g.n), None, None, None
     else:
-        wg, hoff, cf_value, cf_condition, lap = float(g.n), None, None, None, float(g.n)
+        wg = spectral.walk_minimum(data, hi=0.0).value
+        hoff = _hoffman(data) if regular else None
+        cf_value, cf_condition = _closed_form(data)
     if known_alpha is not None:
         for name, value in (("walkgen", wg), ("laplacian", lap),
                             ("hoffman", hoff), ("closed_form", cf_value)):

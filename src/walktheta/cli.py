@@ -89,8 +89,7 @@ def cmd_bounds(args) -> int:
     graphs = _read_graphs(args)
     dominance_ok = True
     with _output(args) as write:
-        for g in graphs:
-            r = bounds.report(g, known_alpha=independence_number(g) if args.alpha_oracle else None)
+        for r in bounds.reports(graphs, independence_number if args.alpha_oracle else None):
             dominance_ok = dominance_ok and r["dominance_ok"]
             write(json.dumps(r))
     return 0 if dominance_ok else 1
@@ -158,8 +157,7 @@ def _suite_dominance(args, graphs, emit) -> None:
         graphs = [g for _, g in fixture_graphs()]
         while len(graphs) < args.random:
             graphs.append(random_graph(rng))
-    for i, g in enumerate(graphs):
-        r = bounds.report(g)
+    for i, r in enumerate(bounds.reports(graphs)):
         emit({"suite": "dominance", "case": i, "ok": r["dominance_ok"],
               "walkgen": r["bounds"]["walkgen"], "laplacian": r["bounds"]["laplacian"]})
 

@@ -56,10 +56,12 @@ class SpectralData:
 
 
 def eigh_checked(m: np.ndarray) -> tuple:
-    """Eigenvalues (ascending) and eigenvector columns of an exactly symmetric matrix.
+    """Eigenvalues (ascending) and eigenvector columns of an exactly symmetric matrix, or of a stack of them.
 
-    Raises ValueError for a non-square or non-symmetric input and LinAlgError
-    when the eigenpairs fail `check_eigenpairs`.
+    m has shape (..., n, n); one `np.linalg.eigh` call decomposes every
+    matrix of a stack, as it would each one alone. Raises ValueError for a
+    non-square or non-symmetric input and LinAlgError when the eigenpairs fail
+    `check_eigenpairs`.
     """
     m = _symmetric(m)
     vals, vecs = np.linalg.eigh(m)
@@ -68,26 +70,35 @@ def eigh_checked(m: np.ndarray) -> tuple:
 
 
 def check_eigenpairs(m: np.ndarray, vals: np.ndarray, vecs: np.ndarray) -> None:
-    """LinAlgError unless max|m vecs - vecs diag(vals)| <= 100 TOL_EIG ||m||_F n."""
-    scale = float(np.linalg.norm(m))
-    resid = float(np.max(np.abs(m @ vecs - vecs * vals), initial=0.0))
-    if scale > 0 and resid > _eig_tol(scale, len(m)):
+    """LinAlgError unless max|m vecs - vecs diag(vals)| <= 100 TOL_EIG ||m||_F n, for each matrix of a stack."""
+    scale = _frobenius(m)
+    resid = m @ vecs
+    resid -= vecs * vals[..., None, :]
+    resid = np.abs(resid, out=resid).max(axis=(-2, -1), initial=0.0)
+    failed = (scale > 0) & (resid > _eig_tol(scale, m.shape[-1]))
+    if failed.any():
+        k = failed.argmax()
         raise np.linalg.LinAlgError(
-            f"eigendecomposition residual {resid:.3e} exceeds tolerance at scale {scale:.3e}"
+            f"eigendecomposition residual {resid.flat[k]:.3e} exceeds tolerance at scale {scale.flat[k]:.3e}"
         )
 
 
-def _eig_tol(scale: float, n: int) -> float:
-    """Absolute eigensolver tolerance for an n x n matrix of Frobenius norm `scale`."""
+def _frobenius(m: np.ndarray):
+    """||m||_F of each matrix of a stack m (..., n, n)."""
+    return np.sqrt(np.einsum("...ij,...ij->...", m, m))
+
+
+def _eig_tol(scale, n: int):
+    """Absolute eigensolver tolerance for an n x n matrix of Frobenius norm `scale` (a float or an array)."""
     return 100 * TOL_EIG * scale * n
 
 
 def _symmetric(m) -> np.ndarray:
-    """m as a float array; ValueError unless it is square and equals its transpose exactly."""
+    """m as a float array of shape (..., n, n); ValueError unless each matrix equals its transpose exactly."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.array_equal(m, m.T):
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if not np.array_equal(m, m.swapaxes(-1, -2)):
         raise ValueError("matrix is not exactly symmetric")
     return m
 
@@ -126,25 +137,28 @@ def lambda_max_upper(m: np.ndarray) -> float:
     raise np.linalg.LinAlgError(f"no certified upper bound on lambda_max near {lam!r}")
 
 
-def lambda_max_bracketed(m: np.ndarray) -> float:
+def lambda_max_bracketed(m: np.ndarray):
     """eigvalsh's lambda_max of a nonzero, exactly symmetric m, checked by two Rump-shifted Cholesky tries.
 
     With tol = 100 TOL_EIG ||m||_F n, the tolerance of `check_eigenpairs`, (lam + tol)I - m must factor,
     which proves lambda_max < lam + tol, and (lam - tol)I - m must not, as factoring would prove lam
-    too high. Raises LinAlgError naming the failed end of the bracket.
+    too high. Raises LinAlgError naming the failed end of the bracket. A stack of shape (..., n, n) is
+    read by one `np.linalg.eigvalsh` call and bracketed matrix by matrix; it gives an array of shape
+    (...), a single matrix a float.
     """
     m = _symmetric(m)
-    lam = float(np.linalg.eigvalsh(m)[-1])
-    tol = _eig_tol(float(np.linalg.norm(m)), len(m))
-    if not _factors_above(m, lam + tol):
-        raise np.linalg.LinAlgError(
-            f"eigvalsh's lambda_max {lam!r} fails its bracket's upper end: ({lam!r} + {tol:.3e})I - m does not factor"
-        )
-    if _factors_above(m, lam - tol):
-        raise np.linalg.LinAlgError(
-            f"eigvalsh's lambda_max {lam!r} fails its bracket's lower end: ({lam!r} - {tol:.3e})I - m factors"
-        )
-    return lam
+    lam = np.linalg.eigvalsh(m)[..., -1]
+    tol = _eig_tol(_frobenius(m), m.shape[-1])
+    for mk, lk, tk in zip(m.reshape(-1, *m.shape[-2:]), lam.ravel().tolist(), tol.ravel().tolist()):
+        if not _factors_above(mk, lk + tk):
+            raise np.linalg.LinAlgError(
+                f"eigvalsh's lambda_max {lk!r} fails its bracket's upper end: ({lk!r} + {tk:.3e})I - m does not factor"
+            )
+        if _factors_above(mk, lk - tk):
+            raise np.linalg.LinAlgError(
+                f"eigvalsh's lambda_max {lk!r} fails its bracket's lower end: ({lk!r} - {tk:.3e})I - m factors"
+            )
+    return lam if m.ndim > 2 else float(lam)
 
 
 def eig_sym(m: np.ndarray) -> SpectralData:

@@ -56,7 +56,7 @@ def eigh_checked_calls(monkeypatch) -> list:
 
 
 def laplacian(g: Graph) -> np.ndarray:
-    """L = D - A, as `bounds.laplacian_bound` builds it from `adjacency` and `Graph.degrees`."""
+    """L = D - A from `adjacency` and `Graph.degrees`: the values of the L that `bounds.laplacian_bound` builds."""
     return np.diag(g.degrees()) - adjacency(g)
 
 

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fixture_graphs, laplacian, plain_alpha, random_graph, record_matrices
 from walktheta import bounds
@@ -156,10 +159,10 @@ def test_every_bound_at_least_one(corpus):
         assert b["laplacian"] >= 1.0 - 1e-9, name
 
 
-def test_report_decomposes_adjacency_once_and_brackets_laplacian(monkeypatch, eig_calls, eigh_checked_calls):
-    # golomb is irregular; petersen is regular, so the ratio bound is computed too.
-    # Only the adjacency gets eigenvectors; L's lambda_max is eigvalsh's, bracketed by two Cholesky tries.
-    # report reaches laplacian_bound through the module global, where a trace wrapper would sit.
+def test_reports_make_one_eigh_and_one_eigvalsh_per_order(monkeypatch, eig_calls, eigh_checked_calls):
+    # golomb and petersen share order 10, the C5s order 5: one eigh of the adjacency stack and one eigvalsh
+    # of the Laplacian stack per order, in first-seen order; two Cholesky tries per graph with edges, none
+    # for the edgeless graph. laplacian_bound is reached through the module global, where a trace wrapper sits.
     linalg = {name: record_matrices(monkeypatch, np.linalg, name) for name in ("eigh", "eigvalsh", "cholesky")}
     lap_calls, real_laplacian_bound = [], bounds.laplacian_bound
 
@@ -167,30 +170,86 @@ def test_report_decomposes_adjacency_once_and_brackets_laplacian(monkeypatch, ei
         lap_calls.append((a, deg))
         return real_laplacian_bound(a, deg)
 
+    c5 = generate_named("cycle", n=5)
+    graphs = [generate_named("golomb"), c5, generate_named("empty", n=4), generate_named("petersen"), c5]
+    want = [report(g) for g in graphs]
     monkeypatch.setattr(bounds, "laplacian_bound", counting)
-    every = (eig_calls, eigh_checked_calls, lap_calls, *linalg.values())
-    for name in ("golomb", "petersen"):
-        g = generate_named(name)
-        a, lap = adjacency(g), laplacian(g)
-        want = real_laplacian_bound(a, g.degrees())
-        for calls in every:
-            calls.clear()
-        rep = report(g)
-        assert (rep["bounds"]["hoffman"] is None) == (name == "golomb")
-        assert len(lap_calls) == 1, name
-        assert np.array_equal(lap_calls[0][0], a) and np.array_equal(lap_calls[0][1], g.degrees()), name
-        assert rep["bounds"]["laplacian"] == want, name
-        for calls in (eig_calls, eigh_checked_calls, linalg["eigh"]):
-            assert len(calls) == 1 and np.array_equal(calls[0], a), name
-        assert len(linalg["eigvalsh"]) == 1 and np.array_equal(linalg["eigvalsh"][0], lap), name
-        off_diagonal = ~np.eye(g.n, dtype=bool)
-        assert len(linalg["cholesky"]) == 2, name
-        for shifted in linalg["cholesky"]:
-            assert np.array_equal(shifted[off_diagonal], -lap[off_diagonal]), name
-    for calls in every:
+    for calls in (eigh_checked_calls, *linalg.values()):
         calls.clear()
-    report(generate_named("empty", n=4))
-    assert not any(every)
+    assert list(bounds.reports(graphs)) == want
+    assert (want[0]["bounds"]["hoffman"] is None) and (want[3]["bounds"]["hoffman"] is not None)
+    groups = [[graphs[0], graphs[3]], [c5, c5]]
+    stacks = [np.stack([adjacency(g) for g in group]) for group in groups]
+    laplacians = [np.stack([laplacian(g) for g in group]) for group in groups]
+    assert not eig_calls
+    for calls, expected in ((eigh_checked_calls, stacks), (linalg["eigh"], stacks), (linalg["eigvalsh"], laplacians)):
+        assert len(calls) == len(expected)
+        assert all(np.array_equal(got, m) for got, m in zip(calls, expected))
+    assert len(lap_calls) == 2
+    for (a, deg), stack, group in zip(lap_calls, stacks, groups):
+        assert np.array_equal(a, stack) and np.array_equal(deg, [g.degrees() for g in group])
+    tried = [lap for group in groups for g in group for lap in (laplacian(g),) * 2]
+    assert len(linalg["cholesky"]) == len(tried) == 8
+    for shifted, lap in zip(linalg["cholesky"], tried):
+        off_diagonal = ~np.eye(len(lap), dtype=bool)
+        assert np.array_equal(shifted[off_diagonal], -lap[off_diagonal])
+
+
+def json_lines(reports) -> list:
+    return [json.dumps(r) for r in reports]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), extra=st.integers(1, bounds.CHUNK + 10), empties=st.integers(1, 6))
+def test_reports_print_the_bytes_of_report_one_graph_at_a_time(seed, extra, empties):
+    # more than one chunk of random graphs on at most 13 vertices, with isolated vertices and edgeless graphs
+    rng = np.random.default_rng(seed)
+    graphs = [random_graph(rng) for _ in range(bounds.CHUNK + extra)]
+    for _ in range(empties):
+        graphs.insert(int(rng.integers(len(graphs) + 1)), generate_named("empty", n=int(rng.integers(1, 8))))
+    assert json_lines(bounds.reports(graphs)) == json_lines(report(g) for g in graphs)
+
+
+def test_reports_print_the_bytes_of_report_on_the_atlas_and_fixtures():
+    nx = pytest.importorskip("networkx")
+    graphs = [Graph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()[1:]]
+    graphs += [g for _, g in fixture_graphs()]
+    np.random.default_rng(34).shuffle(graphs)
+    alphas = {id(g): plain_alpha(g) for g in graphs}
+    oracle = lambda g: alphas[id(g)]
+    assert json_lines(bounds.reports(graphs)) == json_lines(report(g) for g in graphs)
+    assert json_lines(bounds.reports(graphs, oracle)) == json_lines(report(g, oracle(g)) for g in graphs)
+
+
+def test_reports_recompute_a_failing_chunk_one_graph_at_a_time():
+    # a bound below the known alpha follows exactly the reports of the graphs before it
+    graphs = [generate_named("cycle", n=n) for n in (5, 6, 7, 8)]
+    alphas = [2, 3, 7, 4]
+    out = bounds.reports(graphs, lambda g: alphas[g.n - 5])
+    assert [next(out) for _ in range(2)] == [report(g, a) for g, a in zip(graphs[:2], alphas)]
+    with pytest.raises(ValueError, match="known independence number 7"):
+        next(out)
+
+
+def test_reports_come_before_an_error_of_the_input():
+    def graphs():
+        yield generate_named("golomb")
+        yield generate_named("empty", n=2)
+        raise OSError("input gone")
+
+    out = bounds.reports(graphs())
+    assert [next(out), next(out)] == [report(generate_named("golomb")), report(generate_named("empty", n=2))]
+    with pytest.raises(OSError, match="input gone"):
+        next(out)
+
+
+def test_laplacian_bound_broadcasts_over_a_stack():
+    graphs = [generate_named("golomb"), generate_named("petersen"), Graph(10, [(0, 1)])]
+    a = np.stack([adjacency(g) for g in graphs])
+    deg = np.stack([g.degrees() for g in graphs])
+    stacked = laplacian_bound(a, deg)
+    assert stacked.shape == (3,)
+    assert stacked.tolist() == [laplacian_bound(adjacency(g), g.degrees()) for g in graphs]
 
 
 def test_laplacian_bound_agrees_with_eigh_on_atlas_and_fixtures():

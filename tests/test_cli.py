@@ -15,7 +15,7 @@ import pytest
 import walktheta
 from walktheta import bounds, cli, reciprocal, theta
 from walktheta.cli import main
-from walktheta.corpus import fixture_graphs, random_weighted
+from walktheta.corpus import fixture_graphs, random_graph, random_weighted
 from walktheta.graphs import Graph, adjacency, encode_graph6, generate_named
 
 
@@ -362,8 +362,9 @@ def test_missing_input_is_usage_error(capsys):
 
 
 def test_numeric_failure_exits_1(capsys, monkeypatch):
-    # an eigensolver returning wrong vectors trips eig_sym's residual check
-    monkeypatch.setattr(np.linalg, "eigh", lambda m: (np.zeros(len(m)), np.eye(len(m))))
+    # an eigensolver returning wrong vectors trips eigh_checked's residual check; bounds passes stacks
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda m: (np.zeros(m.shape[:-1]), np.broadcast_to(np.eye(m.shape[-1]), m.shape)))
     code, out, err = run_cli(capsys, "bounds", "--named", "golomb")
     assert code == 1
     assert out == ""
@@ -377,7 +378,7 @@ def test_laplacian_bracket_failure_exits_1(capsys, monkeypatch):
     for shift, end in ((1e-3, "lower end"), (-1e-3, "upper end")):
         def eigvalsh(m, shift=shift):
             vals = real(m)
-            vals[-1] += shift * np.linalg.norm(m)
+            vals[..., -1] += shift * np.linalg.norm(m, axis=(-2, -1))
             return vals
 
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
@@ -385,6 +386,49 @@ def test_laplacian_bracket_failure_exits_1(capsys, monkeypatch):
         assert code == 1
         assert out == ""
         assert end in err
+
+
+def test_parse_error_after_a_chunk_writes_the_graphs_before_it(capsys, tmp_path):
+    # CHUNK + 6 graphs, then a truncated line k: its error follows exactly the k - 1 reports before it
+    rng = np.random.default_rng(3)
+    lines = [encode_graph6(random_graph(rng)) + b"\n" for _ in range(bounds.CHUNK + 6)]
+    good, bad, out_path = tmp_path / "good.g6", tmp_path / "bad.g6", tmp_path / "out.jsonl"
+    good.write_bytes(b"".join(lines))
+    bad.write_bytes(b"".join(lines) + encode_graph6(generate_named("petersen"))[:-3] + b"\n")
+    k = bounds.CHUNK + 7
+    code, want, _ = run_cli(capsys, "bounds", str(good))
+    assert code == 0 and len(want.splitlines()) == k - 1
+    code, out, err = run_cli(capsys, "bounds", str(bad))
+    assert (code, out) == (2, want)
+    assert err.startswith(f"{bad}:{k}: ")
+    assert run_cli(capsys, "bounds", str(bad), "--output", str(out_path)) == (2, "", err)
+    assert out_path.read_text() == want
+
+
+def test_numeric_failure_mid_chunk_exits_1_after_the_lines_before_it(capsys, monkeypatch, tmp_path):
+    # graph k, in the middle of the first chunk, is the only graph of order 20; its bracket fails
+    rng = np.random.default_rng(4)
+    graphs = [random_graph(rng) for _ in range(bounds.CHUNK)]
+    k = bounds.CHUNK // 2
+    graphs.insert(k - 1, generate_named("cycle", n=20))
+    assert [g.n for g in graphs].count(20) == 1
+    corpus = tmp_path / "c.g6"
+    corpus.write_bytes(b"".join(encode_graph6(g) + b"\n" for g in graphs))
+    code, want, _ = run_cli(capsys, "bounds", str(corpus))
+    assert code == 0
+    real = np.linalg.eigvalsh
+
+    def eigvalsh(m):
+        vals = real(m)
+        if m.shape[-1] == 20:
+            vals[..., -1] += 1e-3 * np.linalg.norm(m, axis=(-2, -1))
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    code, out, err = run_cli(capsys, "bounds", str(corpus))
+    assert code == 1
+    assert out.splitlines() == want.splitlines()[:k - 1]
+    assert "lower end" in err
 
 
 def test_verify_duality_scans_once_per_case(capsys, monkeypatch):
@@ -494,7 +538,7 @@ def test_public_api_census():
         "spectral": ["SpectralData", "check_eigenpairs", "cluster_weights", "eig_sym", "eigh_checked",
                      "extreme_eigenspace", "lambda_max_bracketed", "lambda_max_upper", "merge_terms",
                      "walk_minimum"],
-        "bounds": ["laplacian_bound", "report"],
+        "bounds": ["laplacian_bound", "report", "reports"],
         "independent_set": ["independence_number", "max_independent_set"],
         "theta": ["OptimizerVector", "ThetaEstimate", "extract_optimizer", "minimize_theta", "optimal_scaling",
                   "submultiplicativity_check"],

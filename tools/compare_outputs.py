@@ -30,6 +30,11 @@ for s in (1, 2):
 long_form = [inputs.generate_named("kneser", n=12, k=2), inputs.gnp(np.random.default_rng(5), 70, .3)]
 inputs.write_lines(pathlib.Path(sys.argv[1], "long.g6"),
                    [inputs.encode_graph6(g).decode("ascii") for g in long_form])
+import networkx as nx
+atlas = [inputs.Graph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()[1:]]
+inputs.write_lines(pathlib.Path(sys.argv[1], "atlas.g6"), [inputs.encode_graph6(g).decode("ascii") for g in atlas])
+corpus = inputs.bounds_corpus(1)[0]
+inputs.write_lines(pathlib.Path(sys.argv[1], "bad-line.g6"), corpus[:70] + [corpus[70][:len(corpus[70]) // 2]])
 golomb = inputs.generate_named("golomb")
 inputs.write_lines(pathlib.Path(sys.argv[1], "golomb.txt"),
                    [str(golomb.n), *(f"{i} {j}" for i, j in zip(golomb.rows.tolist(), golomb.cols.tolist()))])
@@ -39,6 +44,10 @@ CASES = [[f"bounds{s}", "bounds", f"bounds{s}.g6"] for s in (1, 2, 13)]
 CASES += [["bounds-long", "bounds", "long.g6"]]    # graph6 long form: Kneser(12,2), n = 66, and G(70, .3)
 CASES += [["bounds-edges", "bounds", "golomb.txt"],    # the edge-list reader
           ["bounds-edgeless", "bounds", "--named", "empty", "--n", "4", "--alpha-oracle"],
+          # the 1,252 graphs on 1-7 vertices: many orders, edgeless graphs, chunk boundaries
+          ["bounds-atlas", "bounds", "atlas.g6"],
+          # 70 lines, bounds.CHUNK + 6, then a truncated one: exit 2 after the 70 reports
+          ["bounds-bad-line", "bounds", "bad-line.g6"],
           ["theta-edges", "theta", "golomb.txt", "--max-iter", "400"]]
 CASES += [[f"theta{s}", "theta", f"theta{s}.g6", "--max-iter", "400"] for s in (1, 2)]
 # seed 203 fails a scaling and an optimizer case (ROADMAP item 4): exit 1 on both sides
