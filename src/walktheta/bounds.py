@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import spectral
@@ -17,28 +15,23 @@ CONDITION_TOL = 1e-9
 CHUNK = 64
 
 
-def _hoffman(data: spectral.SpectralData) -> float:
-    return float(-data.lam_min * data.n / (data.lam_max - data.lam_min))
+def _hoffman(n, lam1, lamn) -> np.ndarray:
+    return -lamn * n / (lam1 - lamn)
 
 
-def _closed_form(data: spectral.SpectralData) -> tuple:
-    n = data.n
-    lam1, lamn = data.lam_max, data.lam_min
+def _closed_form(n, lam1, lamn, rate, weight) -> list:
+    """(value, condition) of each row, from its order, extreme eigenvalues and top walk term; None where it fails."""
     # cluster cuts are wider than this tolerance: only the top cluster can match lam1
-    rates, weights = data.walk.rates, data.walk.weights
-    w1 = weights[-1] if abs(rates[-1] - lam1) <= spectral.TOL_CLUSTER * max(1.0, abs(lam1)) else 0.0
-    if w1 <= 0.0:
-        return None, False
-    excess = max(0.0, n - w1)
-    if excess <= spectral.TOL_WEIGHT * n:
-        excess = 0.0            # residual weight below the cluster-drop threshold
-    ratio = -lamn * excess / (lam1 * w1)
-    condition = ratio <= 1.0 + CONDITION_TOL
-    if not condition:
-        return None, False
-    r = math.sqrt(lam1 * excess / (-lamn * w1))
-    value = (-n * lamn / (lam1 - lamn)) * (w1 / n) * (1.0 + r) ** 2
-    return float(value), True
+    w1 = np.where(np.abs(rate - lam1) <= spectral.TOL_CLUSTER * np.maximum(1.0, np.abs(lam1)), weight, 0.0)
+    excess = np.maximum(0.0, n - w1)
+    excess[excess <= spectral.TOL_WEIGHT * n] = 0.0        # residual weight below the cluster-drop threshold
+    with np.errstate(divide="ignore", invalid="ignore"):
+        condition = (w1 > 0.0) & (-lamn * excess / (lam1 * w1) <= 1.0 + CONDITION_TOL)
+        r = np.sqrt(lam1 * excess / (-lamn * w1))
+        head = (-n * lamn / (lam1 - lamn)) * (w1 / n)
+    # Python's ** 2 is pow, which can round otherwise than numpy's square
+    return [(s * (1.0 + t) ** 2, True) if c else (None, False)
+            for s, t, c in zip(head.tolist(), r.tolist(), condition.tolist())]
 
 
 def laplacian_bound(a: np.ndarray, deg: np.ndarray):
@@ -73,10 +66,10 @@ def reports(graphs, oracle=None):
     Graphs are read CHUNK at a time, and each same-order group of a chunk's
     graphs with edges is decomposed in stacked calls: one checked `eigh` of
     the adjacency matrices and one `eigvalsh` of the Laplacians, which give
-    each matrix the values a call on it alone gives. A chunk that raises
-    ValueError is recomputed one graph at a time, so that the error follows
-    the reports of the graphs before it, as does an error raised by `graphs`
-    or `oracle`.
+    each matrix the values a call on it alone gives; one `spectral.walk_minima`
+    search then serves the whole chunk. A chunk that raises ValueError is
+    recomputed one graph at a time, so that the error follows the reports of
+    the graphs before it, as does an error raised by `graphs` or `oracle`.
     """
     graphs = iter(graphs)
     while True:
@@ -112,26 +105,33 @@ def _decomposed(chunk: list) -> list:
         if g.num_edges:
             groups.setdefault(g.n, []).append(k)
         else:
-            out[k] = _report(g, known_alpha, float(g.n))
-    for ks in groups.values():
+            out[k] = _report(g, known_alpha, float(g.n), float(g.n))
+    if not groups:
+        return out
+    order = [k for ks in groups.values() for k in ks]
+    sizes = np.array([chunk[k][0].n for k in order])
+    vals, overlaps = np.zeros((2, len(order), sizes.max()))
+    laps, regular = [], []
+    for n, ks in groups.items():
         a = np.stack([adjacency(chunk[k][0]) for k in ks])
         deg = a.sum(axis=-1)
-        vals, vecs = spectral.eigh_checked(a)
-        laps = laplacian_bound(a, deg).tolist()
-        regular = (deg.min(axis=-1) == deg.max(axis=-1)).tolist()
-        for i, k in enumerate(ks):
-            out[k] = _report(*chunk[k], laps[i], spectral.SpectralData(vals[i], vecs[i]), regular[i])
+        rows = slice(len(laps), len(laps) + len(ks))
+        vals[rows, :n], vecs = spectral.eigh_checked(a)
+        overlaps[rows, :n] = (np.ones(n) @ vecs) ** 2
+        laps += laplacian_bound(a, deg).tolist()
+        regular += (deg.min(axis=-1) == deg.max(axis=-1)).tolist()
+    _, walkgen, _, top_rate, top_weight = spectral.walk_minima(vals, overlaps, sizes)
+    walkgen = walkgen.tolist()
+    lam1, lamn = vals[np.arange(len(order)), sizes - 1], vals[:, 0]
+    hoffman = _hoffman(sizes, lam1, lamn).tolist()
+    closed_form = _closed_form(sizes, lam1, lamn, top_rate, top_weight)
+    for i, k in enumerate(order):
+        out[k] = _report(*chunk[k], laps[i], walkgen[i], hoffman[i] if regular[i] else None, *closed_form[i])
     return out
 
 
-def _report(g: Graph, known_alpha, lap: float, data=None, regular=False) -> dict:
-    """g's report from its Laplacian bound and, with edges, its decomposition and whether it is regular."""
-    if data is None:
-        wg, hoff, cf_value, cf_condition = float(g.n), None, None, None
-    else:
-        wg = spectral.walk_minimum(data, hi=0.0).value
-        hoff = _hoffman(data) if regular else None
-        cf_value, cf_condition = _closed_form(data)
+def _report(g: Graph, known_alpha, lap: float, wg: float, hoff=None, cf_value=None, cf_condition=None) -> dict:
+    """g's report from its bounds; an edgeless g has walkgen = laplacian = n and no other bound."""
     if known_alpha is not None:
         for name, value in (("walkgen", wg), ("laplacian", lap),
                             ("hoffman", hoff), ("closed_form", cf_value)):

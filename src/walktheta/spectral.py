@@ -7,11 +7,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .reciprocal import IntervalMin, ReciprocalSum
+from .reciprocal import DERIV_TOL, POLE_TOL, WALL_TOL, X_TOL, IntervalMin, ReciprocalSum
 
 __all__ = [
     "SpectralData", "eigh_checked", "check_eigenpairs", "lambda_max_upper", "lambda_max_bracketed", "eig_sym",
-    "cluster_weights", "merge_terms", "extreme_eigenspace", "walk_minimum",
+    "cluster_weights", "merge_terms", "extreme_eigenspace", "walk_minimum", "walk_minima",
 ]
 
 # Relative tolerances: eigensolver residual, eigenvalue clustering, the
@@ -230,3 +230,98 @@ def walk_minimum(data: SpectralData, hi: float = math.inf) -> IntervalMin:
     if lo > hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     return data.walk.minimize(lo, hi)
+
+
+def walk_minima(vals: np.ndarray, overlaps: np.ndarray, sizes) -> tuple:
+    """`walk_minimum(data, hi=0.0)` of k decompositions in one search, bit for bit, with each walk's top term.
+
+    Row i of the (k, N) stacks holds ascending eigenvalues (`vals`) and squared all-ones overlaps in its
+    first sizes[i] columns and zeros after. Returns arrays of x*, W(x*), the endpoint flags and the rate and
+    weight of the top (last kept) term. `_walk_terms` merges in place; every sum is a cumsum, which adds
+    left to right as Python's `sum` does; the rows take `_root`'s steps in lockstep under a mask. Raises
+    what `walk_minimum` raises, for the first row that fails.
+    """
+    sizes = np.asarray(sizes)
+    k, rows = len(sizes), np.arange(len(sizes))
+    rates, weights = _walk_terms(vals, overlaps, sizes)
+    lam_min, lam_max = vals[:, 0], vals[rows, sizes - 1]
+    search = (rates != 0.0).any(axis=1)     # a walk with no nonzero rate is the constant n, at x = 0
+    one_sign = search & ((lam_min >= 0.0) | (lam_max <= 0.0))
+    if one_sign.any():
+        i = one_sign.argmax()
+        raise ValueError(
+            f"spectrum [{float(lam_min[i])!r}, {float(lam_max[i])!r}] has one sign: W has no interval minimum"
+        )
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        poles, slopes = np.where(rates != 0.0, 1.0 / rates, np.inf), weights * rates
+        lo = 1.0 / lam_min                  # the interval is [lo, 0]
+        x_tol = X_TOL * np.maximum(1.0, np.abs(lo))
+        tiny = search & (-lo <= x_tol)
+        d_lo = np.full(k, -np.inf)
+        d_hi = np.where(_near_pole(poles, np.zeros(k), WALL_TOL), np.inf, _row_sums(slopes))
+        free = search & ~tiny & ~_near_pole(poles, lo, WALL_TOL)
+        if free.any():      # `derivative` squares by Python's pow, which can round otherwise than q * q
+            q = 1.0 - rates[free] * lo[free, None]
+            d_lo[free] = _row_sums(slopes[free] / np.reshape([v ** 2 for v in q.ravel().tolist()], q.shape))
+        at_lo = search & ~tiny & (d_lo >= 0.0)
+        at_hi = search & ~tiny & ~at_lo & (d_hi <= 0.0)
+        active = search & ~(tiny | at_lo | at_hi)
+        d_tol = DERIV_TOL * np.maximum(1.0, _row_sums(np.abs(slopes)))
+        a, b = lo, np.zeros(k)
+        x = np.where(tiny | active, 0.5 * (a + b), np.where(at_lo, lo, 0.0))
+        for _ in range(200):
+            if not active.any():
+                break
+            _pole_check(rates, weights, poles, x, active)
+            q = 1.0 - rates * x[:, None]
+            t = slopes / (q * q)
+            d, h = _row_sums(t), _row_sums(t * rates / q)      # f'(x) and f''(x) / 2
+            active &= ~(np.abs(d) <= d_tol) & ~(b - a <= x_tol)
+            left = (d < 0.0) == (d_lo < 0.0)
+            a, b = np.where(active & left, x, a), np.where(active & ~left, x, b)
+            newton = x - 0.5 * d / h        # h = 0 gives inf or nan, never inside (a, b)
+            last, x = x, np.where(active, np.where((a < newton) & (newton < b), newton, 0.5 * (a + b)), x)
+            active &= ~(np.abs(x - last) <= x_tol)
+        _pole_check(rates, weights, poles, x, search)
+        value = np.where(search, _row_sums(weights / (1.0 - rates * x[:, None])), sizes)
+    top = vals.shape[1] - 1 - np.argmax(weights[:, ::-1] > 0.0, axis=1)
+    return x, value, tiny | at_lo | at_hi, rates[rows, top], weights[rows, top]
+
+
+def _walk_terms(vals: np.ndarray, overlaps: np.ndarray, sizes: np.ndarray) -> tuple:
+    """`merge_terms` of each row of `walk_minima`'s stacks, in place: (rates, weights), each (k, N).
+
+    A cluster's term sits in its first column. Its other members, dropped terms and the padding
+    become rate 0 and weight 0, so the kept (positive-weight) terms, left to right, are merge_terms'.
+    """
+    scale = np.array([max(1.0, float(np.linalg.norm(v[:n]))) for v, n in zip(vals, sizes.tolist())])
+    start = np.arange(vals.shape[1]) >= sizes[:, None]      # each padded column is a term of its own
+    start[:, 0] = True
+    start[:, 1:] |= np.diff(vals, axis=1) > (TOL_CLUSTER * scale)[:, None]
+    rates, weights = np.where(start, vals, 0.0), np.where(start, overlaps, 0.0)
+    for i, j in np.argwhere(start[:, :-1] & ~start[:, 1:]).tolist():    # clusters of several members
+        stop = j + 1 + int(np.argmax(np.append(start[i, j + 1:], True)))
+        weights[i, j] = float(np.sum(overlaps[i, j:stop]))     # the calls and slices of merge_terms
+        rates[i, j] = float(np.mean(vals[i, j:stop]))
+    keep = weights > (TOL_WEIGHT * sizes)[:, None]
+    rates = np.where(keep & ~(np.abs(rates) <= (TOL_ZERO * sizes * scale)[:, None]), rates, 0.0)
+    return rates, np.where(keep, weights, 0.0)
+
+
+def _row_sums(m: np.ndarray) -> np.ndarray:
+    """Each row's sum, added left to right."""
+    return np.cumsum(m, axis=-1)[..., -1]
+
+
+def _near_pole(poles: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
+    """`ReciprocalSum.near_pole(x[i], tol)` of each row i, its poles in `poles` (inf for no pole)."""
+    return np.abs(poles - x[:, None]).min(axis=1) <= tol * (1.0 + np.abs(x))
+
+
+def _pole_check(rates, weights, poles, x, rows) -> None:
+    """The PoleProximityError that `ReciprocalSum.value` raises at x, for the first of `rows` near a pole."""
+    near = rows & _near_pole(poles, x, POLE_TOL)
+    if near.any():
+        i = near.argmax()
+        kept = weights[i] > 0.0
+        raise ReciprocalSum(weights[i][kept], rates[i][kept])._pole_error(float(x[i]))

@@ -10,7 +10,7 @@ import pytest
 from walktheta import spectral
 from walktheta.corpus import fixture_graphs, random_graph  # noqa: F401 (re-exported)
 from walktheta.corpus import random_weighted as random_weighted_matrix  # noqa: F401
-from walktheta.graphs import Graph, adjacency, generate_named
+from walktheta.graphs import Graph, adjacency, generate_named, strong_product
 
 
 def build_corpus() -> list:
@@ -23,6 +23,41 @@ def build_corpus() -> list:
         ("kneser62", generate_named("kneser", n=6, k=2)),
         ("P5+iso", generate_named("path", n=5).add_isolated_vertex()),
     ]
+
+
+def cluster_graphs() -> list:
+    """Graphs with repeated eigenvalues, the `bounds-clusters` case of tools/compare_outputs.py.
+
+    K_n, six Kneser graphs (Kneser(9,3) has a 48-member cluster), Petersen, two strong products,
+    K_{6,6}, K_{10,10}, K_{5,5,5}, 30 circulants (disconnected ones keep a multi-member top cluster)
+    and a perfect matching on 24 vertices. The circulants are perfbench/inputs.py's rule.
+    """
+    def multipartite(*parts):
+        part = [p for p, size in enumerate(parts) for _ in range(size)]
+        return Graph(len(part), [(i, j) for j in range(len(part)) for i in range(j) if part[i] != part[j]])
+
+    def circulant(n):
+        jumps = [s for s in range(1, n // 2 + 1) if rng.random() < 0.5] or [1]
+        return Graph(n, frozenset((i, (i + s) % n) for i in range(n) for s in jumps))
+
+    rng = np.random.default_rng(35)
+    graphs = [generate_named("complete", n=n) for n in (3, 8, 9, 12, 20, 31)]
+    graphs += [generate_named("kneser", n=n, k=k) for n, k in ((7, 2), (8, 2), (9, 2), (8, 3), (6, 2), (9, 3))]
+    c5, petersen = generate_named("cycle", n=5), generate_named("petersen")
+    graphs += [petersen, strong_product(c5, c5), strong_product(petersen, generate_named("complete", n=2))]
+    graphs += [multipartite(6, 6), multipartite(10, 10), multipartite(5, 5, 5)]
+    graphs += [circulant(int(rng.integers(5, 41))) for _ in range(30)]
+    return graphs + [Graph(24, [(i, i + 1) for i in range(0, 24, 2)])]
+
+
+def walk_stacks(datas: list, width: int = None) -> tuple:
+    """`spectral.walk_minima`'s (vals, overlaps, sizes) of decompositions, zero-padded to `width` columns."""
+    sizes = np.array([d.n for d in datas])
+    vals, overlaps = np.zeros((2, len(datas), width or sizes.max()))
+    for i, d in enumerate(datas):
+        vals[i, :d.n] = d.eigenvalues
+        overlaps[i, :d.n] = (np.ones(d.n) @ d.eigenvectors) ** 2
+    return vals, overlaps, sizes
 
 
 @pytest.fixture(scope="session")

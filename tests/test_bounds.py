@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_graphs, laplacian, plain_alpha, random_graph, record_matrices
-from walktheta import bounds
+from conftest import (
+    cluster_graphs, fixture_graphs, laplacian, plain_alpha, random_graph, record_matrices, walk_stacks,
+)
+from walktheta import bounds, spectral
 from walktheta.bounds import laplacian_bound, report
 from walktheta.graphs import Graph, adjacency, generate_named, parse_edge_list
 from walktheta.independent_set import independence_number
-from walktheta.spectral import eig_sym
+from walktheta.spectral import eig_sym, walk_minimum
 
 SQRT5 = math.sqrt(5.0)
 
@@ -241,6 +243,68 @@ def test_reports_come_before_an_error_of_the_input():
     assert [next(out), next(out)] == [report(generate_named("golomb")), report(generate_named("empty", n=2))]
     with pytest.raises(OSError, match="input gone"):
         next(out)
+
+
+def reference_hoffman(data) -> float:
+    """The ratio bound from one graph's decomposition: the oracle for the stacked `bounds._hoffman`."""
+    return float(-data.lam_min * data.n / (data.lam_max - data.lam_min))
+
+
+def reference_closed_form(data) -> tuple:
+    """(value, condition) from one graph's decomposition and walk: the oracle for the stacked `bounds._closed_form`."""
+    n = data.n
+    lam1, lamn = data.lam_max, data.lam_min
+    rates, weights = data.walk.rates, data.walk.weights
+    w1 = weights[-1] if abs(rates[-1] - lam1) <= spectral.TOL_CLUSTER * max(1.0, abs(lam1)) else 0.0
+    if w1 <= 0.0:
+        return None, False
+    excess = max(0.0, n - w1)
+    if excess <= spectral.TOL_WEIGHT * n:
+        excess = 0.0
+    ratio = -lamn * excess / (lam1 * w1)
+    condition = ratio <= 1.0 + bounds.CONDITION_TOL
+    if not condition:
+        return None, False
+    r = math.sqrt(lam1 * excess / (-lamn * w1))
+    value = (-n * lamn / (lam1 - lamn)) * (w1 / n) * (1.0 + r) ** 2
+    return float(value), True
+
+
+def check_walk_minima_against_the_scalar_path(graphs):
+    """walk_minima of graphs of mixed orders, padded into one stack, equals walk_minimum's search bit for bit,
+    row by row and alone; the reports' walkgen, hoffman and closed_form equal the one-graph oracles."""
+    datas = [eig_sym(adjacency(g)) for g in graphs if g.num_edges]
+    stacked = [column.tolist() for column in spectral.walk_minima(*walk_stacks(datas))]
+    for i, data in enumerate(datas):
+        want = walk_minimum(data, hi=0.0)
+        top = (data.walk.rates[-1], data.walk.weights[-1])
+        assert [column[i] for column in stacked] == [want.x_star, want.value, want.at_endpoint, *top], i
+        alone = [column.tolist() for column in spectral.walk_minima(*walk_stacks([data]))]
+        assert alone == [[column[i]] for column in stacked], i
+    datas = iter(datas)
+    for g, got in zip(graphs, bounds.reports(graphs)):
+        if not g.num_edges:
+            continue
+        data, deg = next(datas), g.degrees()
+        assert got["bounds"]["walkgen"] == walk_minimum(data, hi=0.0).value
+        assert got["bounds"]["hoffman"] == (reference_hoffman(data) if deg.min() == deg.max() else None)
+        value, condition = reference_closed_form(data)
+        assert got["bounds"]["closed_form"] == {"value": value, "condition": condition}
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), extra=st.integers(1, bounds.CHUNK))
+def test_walk_minima_equals_the_scalar_search_on_random_graphs(seed, extra):
+    rng = np.random.default_rng(seed)
+    check_walk_minima_against_the_scalar_path([random_graph(rng) for _ in range(bounds.CHUNK + extra)])
+
+
+def test_walk_minima_equals_the_scalar_search_on_atlas_fixtures_and_clusters():
+    nx = pytest.importorskip("networkx")
+    graphs = [Graph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()[1:]]
+    graphs += [g for _, g in fixture_graphs()] + cluster_graphs()
+    np.random.default_rng(35).shuffle(graphs)
+    check_walk_minima_against_the_scalar_path(graphs)
 
 
 def test_laplacian_bound_broadcasts_over_a_stack():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import walktheta
-from walktheta import bounds, cli, reciprocal, theta
+from walktheta import bounds, cli, reciprocal, spectral, theta
 from walktheta.cli import main
 from walktheta.corpus import fixture_graphs, random_graph, random_weighted
 from walktheta.graphs import Graph, adjacency, encode_graph6, generate_named
@@ -431,6 +431,31 @@ def test_numeric_failure_mid_chunk_exits_1_after_the_lines_before_it(capsys, mon
     assert "lower end" in err
 
 
+def test_walk_search_failure_mid_chunk_exits_1_after_the_lines_before_it(capsys, monkeypatch, tmp_path):
+    # graph k of 65, in the first chunk, is the only graph of order 20; the walk search raises for that order
+    rng = np.random.default_rng(4)
+    graphs = [random_graph(rng) for _ in range(bounds.CHUNK)]
+    k = bounds.CHUNK // 2
+    graphs.insert(k - 1, generate_named("cycle", n=20))
+    assert [g.n for g in graphs].count(20) == 1
+    corpus = tmp_path / "c.g6"
+    corpus.write_bytes(b"".join(encode_graph6(g) + b"\n" for g in graphs))
+    code, want, _ = run_cli(capsys, "bounds", str(corpus))
+    assert code == 0
+    real = spectral.walk_minima
+
+    def walk_minima(vals, overlaps, sizes):
+        if 20 in sizes:
+            raise reciprocal.PoleProximityError(-0.25, -0.25)
+        return real(vals, overlaps, sizes)
+
+    monkeypatch.setattr(spectral, "walk_minima", walk_minima)
+    code, out, err = run_cli(capsys, "bounds", str(corpus))
+    assert code == 1
+    assert out.splitlines() == want.splitlines()[:k - 1]
+    assert "x = -0.25 is within tolerance of the pole at -0.25" in err
+
+
 def test_verify_duality_scans_once_per_case(capsys, monkeypatch):
     calls = []
     real = reciprocal.enumerate_critical_points
@@ -537,7 +562,7 @@ def test_public_api_census():
                        "enumerate_critical_points", "has_critical_points", "verify_duality"],
         "spectral": ["SpectralData", "check_eigenpairs", "cluster_weights", "eig_sym", "eigh_checked",
                      "extreme_eigenspace", "lambda_max_bracketed", "lambda_max_upper", "merge_terms",
-                     "walk_minimum"],
+                     "walk_minima", "walk_minimum"],
         "bounds": ["laplacian_bound", "report", "reports"],
         "independent_set": ["independence_number", "max_independent_set"],
         "theta": ["OptimizerVector", "ThetaEstimate", "extract_optimizer", "minimize_theta", "optimal_scaling",

@@ -35,6 +35,19 @@ atlas = [inputs.Graph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g(
 inputs.write_lines(pathlib.Path(sys.argv[1], "atlas.g6"), [inputs.encode_graph6(g).decode("ascii") for g in atlas])
 corpus = inputs.bounds_corpus(1)[0]
 inputs.write_lines(pathlib.Path(sys.argv[1], "bad-line.g6"), corpus[:70] + [corpus[70][:len(corpus[70]) // 2]])
+from walktheta import strong_product
+named, rng = inputs.generate_named, np.random.default_rng(35)
+def multipartite(*parts):
+    part = [p for p, size in enumerate(parts) for _ in range(size)]
+    return inputs.Graph(len(part), [(i, j) for j in range(len(part)) for i in range(j) if part[i] != part[j]])
+clusters = [named("complete", n=n) for n in (3, 8, 9, 12, 20, 31)]
+clusters += [named("kneser", n=n, k=k) for n, k in ((7, 2), (8, 2), (9, 2), (8, 3), (6, 2), (9, 3))]
+clusters += [named("petersen"), strong_product(named("cycle", n=5), named("cycle", n=5)),
+             strong_product(named("petersen"), named("complete", n=2))]
+clusters += [multipartite(6, 6), multipartite(10, 10), multipartite(5, 5, 5)]
+clusters += [inputs.circulant(rng, int(rng.integers(5, 41))) for _ in range(30)]
+clusters += [inputs.Graph(24, [(i, i + 1) for i in range(0, 24, 2)])]
+inputs.write_lines(pathlib.Path(sys.argv[1], "clusters.g6"), [inputs.encode_graph6(g).decode("ascii") for g in clusters])
 golomb = inputs.generate_named("golomb")
 inputs.write_lines(pathlib.Path(sys.argv[1], "golomb.txt"),
                    [str(golomb.n), *(f"{i} {j}" for i, j in zip(golomb.rows.tolist(), golomb.cols.tolist()))])
@@ -46,6 +59,9 @@ CASES += [["bounds-edges", "bounds", "golomb.txt"],    # the edge-list reader
           ["bounds-edgeless", "bounds", "--named", "empty", "--n", "4", "--alpha-oracle"],
           # the 1,252 graphs on 1-7 vertices: many orders, edgeless graphs, chunk boundaries
           ["bounds-atlas", "bounds", "atlas.g6"],
+          # repeated eigenvalues: K_n, Kneser graphs, strong products, complete multipartite graphs,
+          # circulants and a matching, with clusters of up to 48 members (Kneser(9,3))
+          ["bounds-clusters", "bounds", "clusters.g6"],
           # 70 lines, bounds.CHUNK + 6, then a truncated one: exit 2 after the 70 reports
           ["bounds-bad-line", "bounds", "bad-line.g6"],
           ["theta-edges", "theta", "golomb.txt", "--max-iter", "400"]]
