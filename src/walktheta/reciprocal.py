@@ -8,8 +8,8 @@ point with the largest f-value is the unique minimum of f on the central
 strip between the extreme reciprocal poles.
 
 `ReciprocalSum.minimize(lo, hi)` is the interval minimiser for the walk
-minima (via `spectral.walk_minimum`; `spectral.walk_minima` repeats its
-steps on stacks of walks for `bounds`) and the duality strip. It and
+minima (via `spectral.walk_minimum`; `bounds` bisects stacks of walks in
+`spectral.walk_minima` instead) and the duality strip. It and
 the critical-point enumerator, which brackets each root of f' by
 certified interval halving, share one root search on the derivative,
 `_root`: safeguarded Newton steps inside a sign bracket.

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .reciprocal import DERIV_TOL, POLE_TOL, WALL_TOL, X_TOL, IntervalMin, ReciprocalSum
+from .reciprocal import IntervalMin, ReciprocalSum
 
 __all__ = [
     "SpectralData", "eigh_checked", "check_eigenpairs", "lambda_max_upper", "lambda_max_bracketed", "eig_sym",
@@ -21,6 +21,9 @@ TOL_EIG = 1e-10
 TOL_CLUSTER = 1e-7
 TOL_WEIGHT = 1e-9
 TOL_ZERO = float(np.finfo(float).eps)
+# walk_minima's halvings: a graph with edges has lam_min <= -1, so [1/lam_min, 0] is at most 1 wide, and
+# 64 halvings leave it at most 2^-64 wide, below the spacing of doubles at any |x| >= 2^-11
+HALVINGS = 64
 
 
 @dataclass(frozen=True)
@@ -233,59 +236,33 @@ def walk_minimum(data: SpectralData, hi: float = math.inf) -> IntervalMin:
 
 
 def walk_minima(vals: np.ndarray, overlaps: np.ndarray, sizes) -> tuple:
-    """`walk_minimum(data, hi=0.0)` of k decompositions in one search, bit for bit, with each walk's top term.
+    """Each walk's minimum on [1/lam_min, 0] and its top term, for k graph adjacencies with edges.
 
-    Row i of the (k, N) stacks holds ascending eigenvalues (`vals`) and squared all-ones overlaps in its
-    first sizes[i] columns and zeros after. Returns arrays of x*, W(x*), the endpoint flags and the rate and
-    weight of the top (last kept) term. `_walk_terms` merges in place; every sum is a cumsum, which adds
-    left to right as Python's `sum` does; the rows take `_root`'s steps in lockstep under a mask. Raises
-    what `walk_minimum` raises, for the first row that fails.
+    Row i of the (k, N) stacks holds ascending eigenvalues (`vals`) and squared all-ones overlaps in its first
+    sizes[i] columns (an int array) and zeros after; ValueError names the first row whose spectrum is not of
+    both signs. Each walk, of `_walk_terms`' terms, is convex there, and a bisection on the sign of W' ends at
+    x with W'(x) >= 0. Returns arrays of x, W(x) and the rate and weight of the top (last kept) term. Every
+    sum adds left to right, so a row's values do not depend on the rows or padding beside it.
     """
-    sizes = np.asarray(sizes)
-    k, rows = len(sizes), np.arange(len(sizes))
-    rates, weights = _walk_terms(vals, overlaps, sizes)
+    rows = np.arange(len(sizes))
     lam_min, lam_max = vals[:, 0], vals[rows, sizes - 1]
-    search = (rates != 0.0).any(axis=1)     # a walk with no nonzero rate is the constant n, at x = 0
-    one_sign = search & ((lam_min >= 0.0) | (lam_max <= 0.0))
+    one_sign = (lam_min >= 0.0) | (lam_max <= 0.0)
     if one_sign.any():
         i = one_sign.argmax()
         raise ValueError(
             f"spectrum [{float(lam_min[i])!r}, {float(lam_max[i])!r}] has one sign: W has no interval minimum"
         )
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        poles, slopes = np.where(rates != 0.0, 1.0 / rates, np.inf), weights * rates
-        lo = 1.0 / lam_min                  # the interval is [lo, 0]
-        x_tol = X_TOL * np.maximum(1.0, np.abs(lo))
-        tiny = search & (-lo <= x_tol)
-        d_lo = np.full(k, -np.inf)
-        d_hi = np.where(_near_pole(poles, np.zeros(k), WALL_TOL), np.inf, _row_sums(slopes))
-        free = search & ~tiny & ~_near_pole(poles, lo, WALL_TOL)
-        if free.any():      # `derivative` squares by Python's pow, which can round otherwise than q * q
-            q = 1.0 - rates[free] * lo[free, None]
-            d_lo[free] = _row_sums(slopes[free] / np.reshape([v ** 2 for v in q.ravel().tolist()], q.shape))
-        at_lo = search & ~tiny & (d_lo >= 0.0)
-        at_hi = search & ~tiny & ~at_lo & (d_hi <= 0.0)
-        active = search & ~(tiny | at_lo | at_hi)
-        d_tol = DERIV_TOL * np.maximum(1.0, _row_sums(np.abs(slopes)))
-        a, b = lo, np.zeros(k)
-        x = np.where(tiny | active, 0.5 * (a + b), np.where(at_lo, lo, 0.0))
-        for _ in range(200):
-            if not active.any():
-                break
-            _pole_check(rates, weights, poles, x, active)
-            q = 1.0 - rates * x[:, None]
-            t = slopes / (q * q)
-            d, h = _row_sums(t), _row_sums(t * rates / q)      # f'(x) and f''(x) / 2
-            active &= ~(np.abs(d) <= d_tol) & ~(b - a <= x_tol)
-            left = (d < 0.0) == (d_lo < 0.0)
-            a, b = np.where(active & left, x, a), np.where(active & ~left, x, b)
-            newton = x - 0.5 * d / h        # h = 0 gives inf or nan, never inside (a, b)
-            last, x = x, np.where(active, np.where((a < newton) & (newton < b), newton, 0.5 * (a + b)), x)
-            active &= ~(np.abs(x - last) <= x_tol)
-        _pole_check(rates, weights, poles, x, search)
-        value = np.where(search, _row_sums(weights / (1.0 - rates * x[:, None])), sizes)
+    rates, weights = _walk_terms(vals, overlaps, sizes)
+    slopes = weights * rates
+    a, b = 1.0 / lam_min, np.zeros(len(sizes))
+    for _ in range(HALVINGS):
+        x = 0.5 * (a + b)
+        q = 1.0 - rates * x[:, None]
+        rising = _row_sums(slopes / (q * q)) >= 0.0
+        a, b = np.where(rising, a, x), np.where(rising, x, b)
+    value = _row_sums(weights / (1.0 - rates * b[:, None]))
     top = vals.shape[1] - 1 - np.argmax(weights[:, ::-1] > 0.0, axis=1)
-    return x, value, tiny | at_lo | at_hi, rates[rows, top], weights[rows, top]
+    return b, value, rates[rows, top], weights[rows, top]
 
 
 def _walk_terms(vals: np.ndarray, overlaps: np.ndarray, sizes: np.ndarray) -> tuple:
@@ -312,16 +289,3 @@ def _row_sums(m: np.ndarray) -> np.ndarray:
     """Each row's sum, added left to right."""
     return np.cumsum(m, axis=-1)[..., -1]
 
-
-def _near_pole(poles: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
-    """`ReciprocalSum.near_pole(x[i], tol)` of each row i, its poles in `poles` (inf for no pole)."""
-    return np.abs(poles - x[:, None]).min(axis=1) <= tol * (1.0 + np.abs(x))
-
-
-def _pole_check(rates, weights, poles, x, rows) -> None:
-    """The PoleProximityError that `ReciprocalSum.value` raises at x, for the first of `rows` near a pole."""
-    near = rows & _near_pole(poles, x, POLE_TOL)
-    if near.any():
-        i = near.argmax()
-        kept = weights[i] > 0.0
-        raise ReciprocalSum(weights[i][kept], rates[i][kept])._pole_error(float(x[i]))

@@ -270,23 +270,33 @@ def reference_closed_form(data) -> tuple:
     return float(value), True
 
 
+def walk_slope(data, x: float) -> float:
+    """W'(x) of data.walk as walk_minima sums it: w r / (q q) per term, left to right."""
+    return sum((w * r / ((1.0 - r * x) * (1.0 - r * x)) for w, r in zip(data.walk.weights, data.walk.rates)), 0.0)
+
+
 def check_walk_minima_against_the_scalar_path(graphs):
-    """walk_minima of graphs of mixed orders, padded into one stack, equals walk_minimum's search bit for bit,
-    row by row and alone; the reports' walkgen, hoffman and closed_form equal the one-graph oracles."""
+    """walk_minima of graphs of mixed orders, padded into one stack, equals itself row by row alone and
+    walk_minimum's value to 1e-13; its x has W'(x) >= 0 and W' < 0 four ulps left, unless x is within four
+    ulps of 1/lam_min. The reports' walkgen, hoffman and closed_form equal the one-graph oracles."""
     datas = [eig_sym(adjacency(g)) for g in graphs if g.num_edges]
     stacked = [column.tolist() for column in spectral.walk_minima(*walk_stacks(datas))]
     for i, data in enumerate(datas):
-        want = walk_minimum(data, hi=0.0)
-        top = (data.walk.rates[-1], data.walk.weights[-1])
-        assert [column[i] for column in stacked] == [want.x_star, want.value, want.at_endpoint, *top], i
+        x, value, *top = (column[i] for column in stacked)
+        assert top == [data.walk.rates[-1], data.walk.weights[-1]], i
+        assert value == pytest.approx(walk_minimum(data, hi=0.0).value, rel=1e-13, abs=0.0), i
+        ulps = 4 * np.spacing(abs(x))
+        assert walk_slope(data, x) >= 0.0, i
+        assert walk_slope(data, x - ulps) < 0.0 or x - 1.0 / data.lam_min <= ulps, i
         alone = [column.tolist() for column in spectral.walk_minima(*walk_stacks([data]))]
         assert alone == [[column[i]] for column in stacked], i
+    walkgen = iter(stacked[1])
     datas = iter(datas)
     for g, got in zip(graphs, bounds.reports(graphs)):
         if not g.num_edges:
             continue
         data, deg = next(datas), g.degrees()
-        assert got["bounds"]["walkgen"] == walk_minimum(data, hi=0.0).value
+        assert got["bounds"]["walkgen"] == next(walkgen)
         assert got["bounds"]["hoffman"] == (reference_hoffman(data) if deg.min() == deg.max() else None)
         value, condition = reference_closed_form(data)
         assert got["bounds"]["closed_form"] == {"value": value, "condition": condition}

@@ -1,5 +1,4 @@
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import cluster_graphs, laplacian, walk_stacks
 from walktheta import spectral
-from walktheta.corpus import random_instance
 from walktheta.graphs import adjacency, generate_named, parse_graph6
-from walktheta.reciprocal import POLE_TOL, WALL_TOL, PoleProximityError
 from walktheta.spectral import check_eigenpairs, eig_sym, eigh_checked
 
 # bounds-corpus reference line 44 (perfbench/reference/bounds_oracle.json): its
@@ -85,28 +82,6 @@ def test_stacked_walk_terms_equal_loop_on_cluster_graphs():
     # multi-member kept clusters: the top ones of disconnected regular graphs, the zero ones of their Laplacians
     datas = [eig_sym(m) for g in cluster_graphs() for m in (adjacency(g), laplacian(g))]
     assert stacked_rate_weight_pairs(datas) == [loop_cluster_weights(data) for data in datas]
-
-
-def test_stacked_pole_rule_equals_near_pole():
-    # x at 0.5, 1 and 1.5 reaches from a pole, on either side: the rule and the error of ReciprocalSum
-    rng = np.random.default_rng(35)
-    walks = [random_instance(rng) for _ in range(40)]
-    rates, weights = np.zeros((2, len(walks), max(len(f.rates) for f in walks)))
-    for i, f in enumerate(walks):
-        rates[i, :len(f.rates)], weights[i, :len(f.rates)] = f.rates, f.weights
-    poles = np.divide(1.0, rates, out=np.full_like(rates, np.inf), where=rates != 0.0)
-    for tol in (POLE_TOL, WALL_TOL):
-        for reach in (-1.5, -1.0, -0.5, 0.5, 1.0, 1.5):
-            x = np.array([f.poles[i % len(f.poles)] for i, f in enumerate(walks)])
-            x += reach * tol * (1.0 + np.abs(x))
-            near = spectral._near_pole(poles, x, tol)
-            assert near.tolist() == [f.near_pole(float(xi), tol) for f, xi in zip(walks, x)]
-            if tol == POLE_TOL and near.any():
-                i = int(near.argmax())
-                with pytest.raises(PoleProximityError) as want:
-                    walks[i].value(float(x[i]))
-                with pytest.raises(PoleProximityError, match=f"^{re.escape(str(want.value))}$"):
-                    spectral._pole_check(rates, weights, poles, x, np.ones(len(walks), bool))
 
 
 @pytest.mark.parametrize("g", [

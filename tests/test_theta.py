@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import plain_alpha, random_weighted_matrix, reference_optimal_scaling
-from walktheta import cli, graphs, independent_set, spectral, theta
+from walktheta import bounds, cli, graphs, independent_set, spectral, theta
 from walktheta.corpus import random_graph
 from walktheta.graphs import Graph, adjacency, generate_named, strong_product
 from walktheta.independent_set import independence_number, max_independent_set
@@ -238,6 +238,18 @@ def test_certified_bracket_contains_known_theta(name, g, exact):
     est = minimize_theta(g)
     assert_brackets(est, exact)
     assert est.converged
+
+
+def test_every_bound_covers_known_theta():
+    """Every printed bound is >= theta, to 1e-12 relative while the bounds are not certified;
+    on a regular graph walkgen is Hoffman's ratio at the wall 1/lam_min, which is theta on these families."""
+    for (name, g, exact), got in zip(KNOWN_THETA, bounds.reports(g for _, g, _ in KNOWN_THETA), strict=True):
+        printed = {**got["bounds"], "closed_form": got["bounds"]["closed_form"]["value"]}
+        for key, value in printed.items():
+            assert value is None or value >= exact * (1 - 1e-12), (name, key, value, exact)
+        deg = g.degrees()
+        if deg.min() == deg.max():
+            assert abs(printed["walkgen"] - exact) <= 1e-13 * exact, (name, printed["walkgen"], exact)
 
 
 @pytest.mark.parametrize("g", [generate_named("cycle", n=5), generate_named("cycle", n=7),

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fixture_graphs, random_weighted_matrix
+from conftest import fixture_graphs, random_weighted_matrix, walk_stacks
+from walktheta import spectral
 from walktheta.graphs import adjacency, generate_named
 from walktheta.reciprocal import PoleProximityError, ReciprocalSum
 from walktheta.spectral import eig_sym, walk_minimum
@@ -80,11 +81,15 @@ def test_tiny_fixture_adjacencies_walk_to_n():
 
 
 def test_one_signed_spectrum_has_no_interval_minimum():
-    """A nonzero walk on a definite or semidefinite matrix: its interval is a pole or empty."""
+    """A nonzero walk on a definite or semidefinite matrix: its interval is a pole or empty.
+
+    walk_minima gets it as the second row of a stack, after C5's valid one."""
     one_signed = [np.eye(3), -np.eye(3), np.diag([1.0, 2.0]), np.ones((2, 2)),
                   np.diag([0.0, 1.0]), np.diag([0.0, -1.0])]
+    c5 = eig_sym(adjacency(generate_named("cycle", n=5)))
+    stacked = lambda m: spectral.walk_minima(*walk_stacks([c5, eig_sym(m)]))
     for m in one_signed:
-        for solve in (lambda m: walk_minimum(eig_sym(m)), optimal_scaling, extract_optimizer):
+        for solve in (lambda m: walk_minimum(eig_sym(m)), optimal_scaling, extract_optimizer, stacked):
             with pytest.raises(ValueError, match="has one sign") as exc:
                 solve(m)
             assert exc.type is ValueError, m

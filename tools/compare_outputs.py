@@ -6,8 +6,8 @@ Each path is a source tree root holding src/walktheta and perfbench/;
 CHANGE_SRC defaults to this script's tree. PARENT_SRC's walktheta and
 perfbench/inputs.py write the input files, which both trees only read. Cases
 run with OPENBLAS_NUM_THREADS=1 and print `identical`, or the count of
-differing lines and the largest relative difference over the numeric JSON/CSV
-fields, with the JSON key path or CSV column where it sits; a JSON null
+differing lines and, for every numeric JSON key path or CSV column whose value
+differs on some line, the largest relative difference there; a JSON null
 against a number counts as inf. Exits 0 only when every case is identical.
 """
 
@@ -104,20 +104,17 @@ def numbers(line: str) -> list:
 
 
 def compare(old: bytes, new: bytes) -> tuple:
-    """(differing lines, largest relative difference over paired numeric fields, where it sits)."""
+    """(differing lines, {field: largest relative difference} over the paired numeric fields that differ)."""
     a, b = old.decode().splitlines(), new.decode().splitlines()
-    differ, worst, where = abs(len(a) - len(b)), 0.0, None
+    differ, worst = abs(len(a) - len(b)), {}
     for x, y in zip(a, b):
         if x != y:
             differ += 1
             for (field, u), (_, v) in zip(numbers(x), numbers(y)):
-                if u is None or v is None:
-                    rel = 0.0 if u is v else math.inf
-                else:
-                    rel = abs(u - v) / max(abs(u), abs(v), 1e-300)
-                if rel > worst:
-                    worst, where = rel, field
-    return differ, worst, where
+                if u != v:
+                    rel = math.inf if u is None or v is None else abs(u - v) / max(abs(u), abs(v), 1e-300)
+                    worst[field] = max(worst.get(field, 0.0), rel)
+    return differ, worst
 
 
 def main(argv: list) -> int:
@@ -136,10 +133,10 @@ def main(argv: list) -> int:
                 print(f"{name}: identical")
                 continue
             all_same = False
-            differ, worst, where = compare(old[1], new[1])
-            at = f" ({where})" if where else ""
-            print(f"{name}: {differ} lines differ, largest relative difference {worst:.3g}{at},"
-                  f" exit {old[0]} -> {new[0]}")
+            differ, worst = compare(old[1], new[1])
+            fields = ", ".join(f"{field} {rel:.3g}" for field, rel in sorted(worst.items(), key=lambda i: -i[1]))
+            print(f"{name}: {differ} lines differ, exit {old[0]} -> {new[0]};"
+                  f" largest relative difference by field: {fields or 'none'}")
     return 0 if all_same else 1
 
 
