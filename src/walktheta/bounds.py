@@ -11,8 +11,11 @@ __all__ = ["laplacian_bound", "report", "reports"]
 
 DOMINANCE_TOL = 1e-8
 CONDITION_TOL = 1e-9
-# graphs per stacked decomposition: 32 saves less time, a whole file costs more memory
-CHUNK = 64
+# graphs per stacked decomposition. Measured on bounds-corpus seed 11 (perfbench/run.py --seconds 8, median
+# of 3, 2-vCPU Xeon, one BLAS thread), work_s / peak RSS at 64, 128, 256 and 1000: 0.477 s / 32.5 MB,
+# 0.410 / 33.2, 0.390 / 34.1, 0.377 / 41.7. Past 256 a chunk's graphs and walk temporaries cost
+# memory (+22% RSS at 1000) for little time.
+CHUNK = 256
 
 
 def _hoffman(n, lam1, lamn) -> np.ndarray:

@@ -106,22 +106,34 @@ def _symmetric(m) -> np.ndarray:
     return m
 
 
-def _factors_above(m: np.ndarray, s: float) -> bool:
-    """Whether the floating Cholesky of sI - m succeeds after Rump's shift; success proves s > lambda_max(m).
+def _rump_shifted(m: np.ndarray, s) -> np.ndarray:
+    """sI - m less Rump's shift on the diagonal, for a matrix or a stack (..., n, n) with s of shape (...).
 
     The shift is c = 2 gamma_{n+1}/(1 - gamma_{n+1}) tr(sI - m), gamma_k = k eps/(1 - k eps): Rump's
     sufficient shift (BIT 46:433, 2006), doubled to cover the rounding of the diagonal, with eps
-    (TOL_ZERO) twice the unit roundoff.
+    (TOL_ZERO) twice the unit roundoff. Each trace is a `math.fsum`, so each matrix of a stack gets the
+    bits it gets alone. A floating Cholesky of the result that succeeds proves s > lambda_max(m).
     """
-    n, shifted = len(m), -m
+    n, shifted = m.shape[-1], -m
     gamma = (n + 1) * TOL_ZERO / (1.0 - (n + 1) * TOL_ZERO)
-    diag = s - m.diagonal()
-    shifted.flat[::n + 1] = diag - 2.0 * gamma / (1.0 - gamma) * math.fsum(diag.tolist())
+    diag = np.asarray(s)[..., None] - m.diagonal(axis1=-2, axis2=-1)
+    trace = np.array([math.fsum(d) for d in diag.reshape(-1, n).tolist()]).reshape(diag.shape[:-1])
+    np.einsum("...ii->...i", shifted)[...] = diag - (2.0 * gamma / (1.0 - gamma) * trace)[..., None]
+    return shifted
+
+
+def _factors(shifted: np.ndarray) -> bool:
+    """Whether the floating Cholesky of every matrix of `shifted` succeeds, in one `np.linalg.cholesky` call."""
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _factors_above(m: np.ndarray, s: float) -> bool:
+    """Whether sI - m, shifted by `_rump_shifted`, factors; success proves s > lambda_max(m)."""
+    return _factors(_rump_shifted(m, s))
 
 
 def lambda_max_upper(m: np.ndarray) -> float:
@@ -145,19 +157,25 @@ def lambda_max_bracketed(m: np.ndarray):
 
     With tol = 100 TOL_EIG ||m||_F n, the tolerance of `check_eigenpairs`, (lam + tol)I - m must factor,
     which proves lambda_max < lam + tol, and (lam - tol)I - m must not, as factoring would prove lam
-    too high. Raises LinAlgError naming the failed end of the bracket. A stack of shape (..., n, n) is
-    read by one `np.linalg.eigvalsh` call and bracketed matrix by matrix; it gives an array of shape
-    (...), a single matrix a float.
+    too high. Raises LinAlgError naming the first failed end of the bracket, the matrices of a stack taken
+    in order. A stack of shape (..., n, n) is read by one `np.linalg.eigvalsh` call; both ends' shifted
+    matrices are built in one pass, one `np.linalg.cholesky` call proves every upper end (matrix by matrix
+    only if it fails) and each lower end is tried alone. It gives an array of shape (...), a single matrix
+    a float.
     """
     m = _symmetric(m)
     lam = np.linalg.eigvalsh(m)[..., -1]
     tol = _eig_tol(_frobenius(m), m.shape[-1])
-    for mk, lk, tk in zip(m.reshape(-1, *m.shape[-2:]), lam.ravel().tolist(), tol.ravel().tolist()):
-        if not _factors_above(mk, lk + tk):
+    flat = m.reshape(-1, *m.shape[-2:])
+    lams, tols = lam.ravel(), tol.ravel()
+    upper, lower = _rump_shifted(np.broadcast_to(flat, (2, *flat.shape)), np.stack([lams + tols, lams - tols]))
+    proved = _factors(upper)
+    for k, (lk, tk) in enumerate(zip(lams.tolist(), tols.tolist())):
+        if not (proved or _factors(upper[k])):
             raise np.linalg.LinAlgError(
                 f"eigvalsh's lambda_max {lk!r} fails its bracket's upper end: ({lk!r} + {tk:.3e})I - m does not factor"
             )
-        if _factors_above(mk, lk - tk):
+        if _factors(lower[k]):
             raise np.linalg.LinAlgError(
                 f"eigvalsh's lambda_max {lk!r} fails its bracket's lower end: ({lk!r} - {tk:.3e})I - m factors"
             )

@@ -36,18 +36,20 @@ def cluster_graphs() -> list:
         part = [p for p, size in enumerate(parts) for _ in range(size)]
         return Graph(len(part), [(i, j) for j in range(len(part)) for i in range(j) if part[i] != part[j]])
 
-    def circulant(n):
-        jumps = [s for s in range(1, n // 2 + 1) if rng.random() < 0.5] or [1]
-        return Graph(n, frozenset((i, (i + s) % n) for i in range(n) for s in jumps))
-
     rng = np.random.default_rng(35)
     graphs = [generate_named("complete", n=n) for n in (3, 8, 9, 12, 20, 31)]
     graphs += [generate_named("kneser", n=n, k=k) for n, k in ((7, 2), (8, 2), (9, 2), (8, 3), (6, 2), (9, 3))]
     c5, petersen = generate_named("cycle", n=5), generate_named("petersen")
     graphs += [petersen, strong_product(c5, c5), strong_product(petersen, generate_named("complete", n=2))]
     graphs += [multipartite(6, 6), multipartite(10, 10), multipartite(5, 5, 5)]
-    graphs += [circulant(int(rng.integers(5, 41))) for _ in range(30)]
+    graphs += [circulant(rng, int(rng.integers(5, 41))) for _ in range(30)]
     return graphs + [Graph(24, [(i, i + 1) for i in range(0, 24, 2)])]
+
+
+def circulant(rng: np.random.Generator, n: int) -> Graph:
+    """Cayley graph of Z_n with a random nonempty connection set, perfbench/inputs.py's rule."""
+    jumps = [s for s in range(1, n // 2 + 1) if rng.random() < 0.5] or [1]
+    return Graph(n, frozenset((i, (i + s) % n) for i in range(n) for s in jumps))
 
 
 def walk_stacks(datas: list, width: int = None) -> tuple:

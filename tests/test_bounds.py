@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    cluster_graphs, fixture_graphs, laplacian, plain_alpha, random_graph, record_matrices, walk_stacks,
+    circulant, cluster_graphs, fixture_graphs, laplacian, plain_alpha, random_graph, record_matrices, walk_stacks,
 )
 from walktheta import bounds, spectral
 from walktheta.bounds import laplacian_bound, report
@@ -163,8 +163,9 @@ def test_every_bound_at_least_one(corpus):
 
 def test_reports_make_one_eigh_and_one_eigvalsh_per_order(monkeypatch, eig_calls, eigh_checked_calls):
     # golomb and petersen share order 10, the C5s order 5: one eigh of the adjacency stack and one eigvalsh
-    # of the Laplacian stack per order, in first-seen order; two Cholesky tries per graph with edges, none
-    # for the edgeless graph. laplacian_bound is reached through the module global, where a trace wrapper sits.
+    # of the Laplacian stack per order, in first-seen order; per order, one Cholesky of the stacked upper
+    # ends, then one lower-end try per graph, none for the edgeless graph. laplacian_bound is reached
+    # through the module global, where a trace wrapper sits.
     linalg = {name: record_matrices(monkeypatch, np.linalg, name) for name in ("eigh", "eigvalsh", "cholesky")}
     lap_calls, real_laplacian_bound = [], bounds.laplacian_bound
 
@@ -190,11 +191,23 @@ def test_reports_make_one_eigh_and_one_eigvalsh_per_order(monkeypatch, eig_calls
     assert len(lap_calls) == 2
     for (a, deg), stack, group in zip(lap_calls, stacks, groups):
         assert np.array_equal(a, stack) and np.array_equal(deg, [g.degrees() for g in group])
-    tried = [lap for group in groups for g in group for lap in (laplacian(g),) * 2]
-    assert len(linalg["cholesky"]) == len(tried) == 8
-    for shifted, lap in zip(linalg["cholesky"], tried):
-        off_diagonal = ~np.eye(len(lap), dtype=bool)
-        assert np.array_equal(shifted[off_diagonal], -lap[off_diagonal])
+    # each shifted matrix has the bits `_factors_above` builds for its end of the bracket alone
+    tried = linalg["cholesky"][:]
+    for calls in linalg.values():
+        calls.clear()
+    built = []
+    for group in groups:
+        uppers = []
+        for g in group:
+            lap = laplacian(g)
+            lam, tol = float(np.linalg.eigvalsh(lap)[-1]), float(spectral._eig_tol(spectral._frobenius(lap), g.n))
+            spectral._factors_above(lap, lam + tol)
+            uppers.append(linalg["cholesky"].pop())
+            spectral._factors_above(lap, lam - tol)
+        built += [np.stack(uppers), *linalg["cholesky"]]
+        linalg["cholesky"].clear()
+    assert len(tried) == len(built) == 6
+    assert all(got.shape == m.shape and np.array_equal(got, m) for got, m in zip(tried, built))
 
 
 def json_lines(reports) -> list:
@@ -221,6 +234,20 @@ def test_reports_print_the_bytes_of_report_on_the_atlas_and_fixtures():
     oracle = lambda g: alphas[id(g)]
     assert json_lines(bounds.reports(graphs)) == json_lines(report(g) for g in graphs)
     assert json_lines(bounds.reports(graphs, oracle)) == json_lines(report(g, oracle(g)) for g in graphs)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64, bounds.CHUNK])
+def test_chunk_size_does_not_change_the_output(monkeypatch, chunk):
+    # stacked calls give each matrix its bits alone and walk rows add left to right, so any CHUNK prints
+    # the same bytes; at CHUNK = 1 every stack has one row
+    rng = np.random.default_rng(37)
+    graphs = [random_graph(rng) for _ in range(bounds.CHUNK + 40)] + cluster_graphs()
+    graphs += [circulant(rng, int(rng.integers(5, 41))) for _ in range(20)]
+    graphs += [generate_named("empty", n=int(rng.integers(1, 8))) for _ in range(6)]
+    rng.shuffle(graphs)
+    want = json_lines(bounds.reports(graphs))
+    monkeypatch.setattr(bounds, "CHUNK", chunk)
+    assert json_lines(bounds.reports(graphs)) == want
 
 
 def test_reports_recompute_a_failing_chunk_one_graph_at_a_time():

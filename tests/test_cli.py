@@ -431,8 +431,41 @@ def test_numeric_failure_mid_chunk_exits_1_after_the_lines_before_it(capsys, mon
     assert "lower end" in err
 
 
+def test_upper_end_failure_inside_a_stack_names_its_graph(capsys, monkeypatch, tmp_path):
+    # golomb, C10 and petersen are the three graphs of order 10; eigvalsh puts C10's lambda_max too low,
+    # so the stacked upper-end Cholesky fails and the retry names C10 alone
+    rng = np.random.default_rng(5)
+    stack = [generate_named("golomb"), generate_named("cycle", n=10), generate_named("petersen")]
+    graphs = [random_graph(rng, n_max=8) for _ in range(6)]
+    for k, g in zip((1, 3, 5), stack):
+        graphs.insert(k, g)
+    assert [g.n for g in graphs].count(10) == 3 and graphs.index(stack[1]) == 3
+    target = np.diag(stack[1].degrees()) - adjacency(stack[1])
+    corpus = tmp_path / "c.g6"
+    corpus.write_bytes(b"".join(encode_graph6(g) + b"\n" for g in graphs))
+    code, want, _ = run_cli(capsys, "bounds", str(corpus))
+    assert code == 0
+    real = np.linalg.eigvalsh
+
+    def eigvalsh(m):
+        vals = real(m)
+        low = m.shape[-1] == 10 and np.all(m == target, axis=(-2, -1))
+        vals[..., -1] -= np.where(low, 1e-3 * np.linalg.norm(m, axis=(-2, -1)), 0.0)
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    a = np.stack([adjacency(g) for g in stack])
+    lam = float(eigvalsh(np.stack([np.diag(g.degrees()) - adjacency(g) for g in stack]))[1, -1])
+    with pytest.raises(np.linalg.LinAlgError, match=rf"lambda_max {lam!r} fails its bracket's upper end"):
+        bounds.laplacian_bound(a, a.sum(axis=-1))
+    code, out, err = run_cli(capsys, "bounds", str(corpus))
+    assert code == 1
+    assert out.splitlines() == want.splitlines()[:3]
+    assert f"lambda_max {lam!r} fails its bracket's upper end" in err
+
+
 def test_walk_search_failure_mid_chunk_exits_1_after_the_lines_before_it(capsys, monkeypatch, tmp_path):
-    # graph k of 65, in the first chunk, is the only graph of order 20; the walk search raises for that order
+    # graph k of CHUNK + 1, in the first chunk, is the only graph of order 20; the walk search raises for that order
     rng = np.random.default_rng(4)
     graphs = [random_graph(rng) for _ in range(bounds.CHUNK)]
     k = bounds.CHUNK // 2

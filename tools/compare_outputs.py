@@ -34,7 +34,7 @@ import networkx as nx
 atlas = [inputs.Graph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()[1:]]
 inputs.write_lines(pathlib.Path(sys.argv[1], "atlas.g6"), [inputs.encode_graph6(g).decode("ascii") for g in atlas])
 corpus = inputs.bounds_corpus(1)[0]
-inputs.write_lines(pathlib.Path(sys.argv[1], "bad-line.g6"), corpus[:70] + [corpus[70][:len(corpus[70]) // 2]])
+inputs.write_lines(pathlib.Path(sys.argv[1], "bad-line.g6"), corpus[:262] + [corpus[262][:len(corpus[262]) // 2]])
 from walktheta import strong_product
 named, rng = inputs.generate_named, np.random.default_rng(35)
 def multipartite(*parts):
@@ -62,7 +62,8 @@ CASES += [["bounds-edges", "bounds", "golomb.txt"],    # the edge-list reader
           # repeated eigenvalues: K_n, Kneser graphs, strong products, complete multipartite graphs,
           # circulants and a matching, with clusters of up to 48 members (Kneser(9,3))
           ["bounds-clusters", "bounds", "clusters.g6"],
-          # 70 lines, bounds.CHUNK + 6, then a truncated one: exit 2 after the 70 reports
+          # 262 lines, then a truncated one: exit 2 after the 262 reports; 262 = 256 + 6 = 4 * 64 + 6,
+          # so the error follows a chunk boundary at bounds.CHUNK = 64 and at 256
           ["bounds-bad-line", "bounds", "bad-line.g6"],
           ["theta-edges", "theta", "golomb.txt", "--max-iter", "400"]]
 CASES += [[f"theta{s}", "theta", f"theta{s}.g6", "--max-iter", "400"] for s in (1, 2)]
