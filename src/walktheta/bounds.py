@@ -11,6 +11,7 @@ __all__ = ["laplacian_bound", "report", "reports"]
 
 DOMINANCE_TOL = 1e-8
 CONDITION_TOL = 1e-9
+EXCESS_TOL = 1e-9      # the closed form's excess n - w1 at or below EXCESS_TOL * n is rounding, so 0
 # graphs per stacked decomposition. Measured on bounds-corpus seed 11 (perfbench/run.py --seconds 8, median
 # of 3, 2-vCPU Xeon, one BLAS thread), work_s / peak RSS at 64, 128, 256 and 1000: 0.477 s / 32.5 MB,
 # 0.410 / 33.2, 0.390 / 34.1, 0.377 / 41.7. Past 256 a chunk's graphs and walk temporaries cost
@@ -27,7 +28,7 @@ def _closed_form(n, lam1, lamn, rate, weight) -> list:
     # cluster cuts are wider than this tolerance: only the top cluster can match lam1
     w1 = np.where(np.abs(rate - lam1) <= spectral.TOL_CLUSTER * np.maximum(1.0, np.abs(lam1)), weight, 0.0)
     excess = np.maximum(0.0, n - w1)
-    excess[excess <= spectral.TOL_WEIGHT * n] = 0.0        # residual weight below the cluster-drop threshold
+    excess[excess <= EXCESS_TOL * n] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         condition = (w1 > 0.0) & (-lamn * excess / (lam1 * w1) <= 1.0 + CONDITION_TOL)
         r = np.sqrt(lam1 * excess / (-lamn * w1))
@@ -125,7 +126,7 @@ def _decomposed(chunk: list) -> list:
         overlaps[rows, :n] = (np.ones(n) @ vecs) ** 2
         laps += laplacian_bound(a, deg).tolist()
         regular += (deg.min(axis=-1) == deg.max(axis=-1)).tolist()
-    _, walkgen, top_rate, top_weight = spectral.walk_minima(vals, overlaps, sizes)
+    _, walkgen, top_rate, top_weight = spectral.walk_minima(vals, overlaps, sizes, 0.0)
     walkgen = walkgen.tolist()
     lam1, lamn = vals[np.arange(len(order)), sizes - 1], vals[:, 0]
     hoffman = _hoffman(sizes, lam1, lamn).tolist()

@@ -8,8 +8,8 @@ point with the largest f-value is the unique minimum of f on the central
 strip between the extreme reciprocal poles.
 
 `ReciprocalSum.minimize(lo, hi)` is the interval minimiser for the walk
-minima (via `spectral.walk_minimum`; `bounds` bisects stacks of walks in
-`spectral.walk_minima` instead) and the duality strip. It and
+minima (via `spectral.walk_minimum`; `bounds` and the product check bisect
+stacks of walks in `spectral.walk_minima` instead) and the duality strip. It and
 the critical-point enumerator, which brackets each root of f' by
 certified interval halving, share one root search on the derivative,
 `_root`: safeguarded Newton steps inside a sign bracket.
@@ -110,7 +110,7 @@ class ReciprocalSum:
     def derivative(self, x: float) -> float:
         if self.near_pole(x):
             raise self._pole_error(x)
-        return sum((c / (1.0 - b * x) ** 2 for c, b in zip(self._slopes, self.rates)), 0.0)
+        return sum((c / (q * q) for c, q in zip(self._slopes, [1.0 - b * x for b in self.rates])), 0.0)
 
     def second_derivative(self, x: float) -> float:
         return float(sum(2.0 * a * b * b / (1.0 - b * x) ** 3 for a, b in zip(self.weights, self.rates)))

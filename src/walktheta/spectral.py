@@ -1,4 +1,8 @@
-"""Dense symmetric eigendecomposition and the walk-generating function W_A(x) = <1, (I - xA)^-1 1>."""
+"""Dense symmetric eigendecomposition and the walk-generating function W_A(x) = <1, (I - xA)^-1 1>.
+
+Its terms come from one cluster rule, `_walk_terms`: `SpectralData.walk` is one row of it, and `walk_minima`
+minimises whole stacks of rows (the `bounds` chunks and the product check's grid).
+"""
 
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ from .reciprocal import IntervalMin, ReciprocalSum
 
 __all__ = [
     "SpectralData", "eigh_checked", "check_eigenpairs", "lambda_max_upper", "lambda_max_bracketed", "eig_sym",
-    "cluster_weights", "merge_terms", "extreme_eigenspace", "walk_minimum", "walk_minima",
+    "cluster_weights", "extreme_eigenspace", "walk_minimum", "walk_minima",
 ]
 
 # Relative tolerances: eigensolver residual, eigenvalue clustering, the
@@ -21,8 +25,8 @@ TOL_EIG = 1e-10
 TOL_CLUSTER = 1e-7
 TOL_WEIGHT = 1e-9
 TOL_ZERO = float(np.finfo(float).eps)
-# walk_minima's halvings: a graph with edges has lam_min <= -1, so [1/lam_min, 0] is at most 1 wide, and
-# 64 halvings leave it at most 2^-64 wide, below the spacing of doubles at any |x| >= 2^-11
+# walk_minima's halvings. A zero-diagonal matrix has lam_min <= -|e| <= lam_max for each entry e, so [1/lam_min, hi]
+# is at most 1 wide for an adjacency, 4 in the product check (|e| >= 0.5): 64 halvings leave 2^-62 < ulp(2^-9)
 HALVINGS = 64
 
 
@@ -188,39 +192,10 @@ def eig_sym(m: np.ndarray) -> SpectralData:
 
 
 def cluster_weights(data: SpectralData) -> ReciprocalSum:
-    """Walk-generating function of a decomposition: its eigenvalues, weighted by the all-ones overlaps."""
-    vals = data.eigenvalues
-    overlaps = (np.ones(len(vals)) @ data.eigenvectors) ** 2
-    return merge_terms(vals.tolist(), overlaps.tolist(), len(vals), max(1.0, float(np.linalg.norm(vals))))
-
-
-def merge_terms(rates: list, weights: list, n: int, scale: float) -> ReciprocalSum:
-    """Walk-generating function of an n x n matrix from its terms, rates ascending.
-
-    Rates within TOL_CLUSTER * scale of their neighbour merge into one term
-    (mean rate, summed weight); scale is max(1, the matrix's Frobenius norm).
-    Terms of weight at most TOL_WEIGHT * n are dropped: their poles are
-    removable and must not appear downstream. A rate within TOL_ZERO * n *
-    scale of 0, `eigh`'s rounding error, is 0.0 exactly: float noise must not
-    put a pole near 1e16.
-    """
-    tol_cluster = TOL_CLUSTER * scale
-    tol_zero = TOL_ZERO * n * scale
-    tol_weight = TOL_WEIGHT * n
-    starts = [i for i in range(len(rates)) if i == 0 or rates[i] - rates[i - 1] > tol_cluster]
-    merged_rates, merged_weights = [], []
-    for start, stop in zip(starts, [*starts[1:], len(rates)]):
-        if stop - start == 1:
-            # equal to np.mean/np.sum of the slice; longer clusters keep those
-            # calls, since np.add.reduceat rounds differently in the last ulp
-            rep, weight = rates[start], weights[start]
-        else:
-            weight = float(np.sum(weights[start:stop]))
-            rep = float(np.mean(rates[start:stop]))
-        if weight > tol_weight:
-            merged_rates.append(0.0 if abs(rep) <= tol_zero else rep)
-            merged_weights.append(weight)
-    return ReciprocalSum(merged_weights, merged_rates)
+    """Walk-generating function of a decomposition: the kept terms of `_walk_terms` on its one-row stack."""
+    n = data.n
+    rates, weights = _walk_terms(data.eigenvalues[None], ((np.ones(n) @ data.eigenvectors) ** 2)[None], np.array([n]))
+    return ReciprocalSum(weights[weights > 0.0].tolist(), rates[weights > 0.0].tolist())
 
 
 def extreme_eigenspace(vals: np.ndarray, top: bool) -> slice:
@@ -237,8 +212,7 @@ def walk_minimum(data: SpectralData, hi: float = math.inf) -> IntervalMin:
     The function is convex there, and endpoints sitting on poles are +inf
     walls. A walk with no nonzero rate (A = 0, or A 1 = 0) is the constant n,
     minimal at x = 0. Any other walk needs a spectrum of both signs: with one
-    sign the interval is a pole or empty, and ValueError is raised. `data`
-    needs only `walk`, `n`, `lam_min` and `lam_max`.
+    sign the interval is a pole or empty, and ValueError is raised.
     """
     if not any(data.walk.rates):
         return IntervalMin(0.0, float(data.n), False, 0.0)
@@ -253,14 +227,15 @@ def walk_minimum(data: SpectralData, hi: float = math.inf) -> IntervalMin:
     return data.walk.minimize(lo, hi)
 
 
-def walk_minima(vals: np.ndarray, overlaps: np.ndarray, sizes) -> tuple:
-    """Each walk's minimum on [1/lam_min, 0] and its top term, for k graph adjacencies with edges.
+def walk_minima(vals: np.ndarray, overlaps: np.ndarray, sizes, hi) -> tuple:
+    """Each walk's minimum on [1/lam_min, hi] and its top term, for k symmetric matrices of both-signed spectra.
 
     Row i of the (k, N) stacks holds ascending eigenvalues (`vals`) and squared all-ones overlaps in its first
-    sizes[i] columns (an int array) and zeros after; ValueError names the first row whose spectrum is not of
-    both signs. Each walk, of `_walk_terms`' terms, is convex there, and a bisection on the sign of W' ends at
-    x with W'(x) >= 0. Returns arrays of x, W(x) and the rate and weight of the top (last kept) term. Every
-    sum adds left to right, so a row's values do not depend on the rows or padding beside it.
+    sizes[i] columns (an int array) and zeros after; hi (a float or one per row) is in [1/lam_min, 1/lam_max].
+    ValueError names the first row whose spectrum is not of both signs. Each walk, of `_walk_terms`' terms, is
+    convex there, and a bisection on the sign of W' ends at x with W'(x) >= 0. Returns arrays of x, W(x) and the
+    rate and weight of the top (last kept) term. Every sum adds left to right, so a row's values do not depend
+    on the rows or padding beside it.
     """
     rows = np.arange(len(sizes))
     lam_min, lam_max = vals[:, 0], vals[rows, sizes - 1]
@@ -272,7 +247,7 @@ def walk_minima(vals: np.ndarray, overlaps: np.ndarray, sizes) -> tuple:
         )
     rates, weights = _walk_terms(vals, overlaps, sizes)
     slopes = weights * rates
-    a, b = 1.0 / lam_min, np.zeros(len(sizes))
+    a, b = 1.0 / lam_min, np.zeros(len(sizes)) + hi
     for _ in range(HALVINGS):
         x = 0.5 * (a + b)
         q = 1.0 - rates * x[:, None]
@@ -284,21 +259,28 @@ def walk_minima(vals: np.ndarray, overlaps: np.ndarray, sizes) -> tuple:
 
 
 def _walk_terms(vals: np.ndarray, overlaps: np.ndarray, sizes: np.ndarray) -> tuple:
-    """`merge_terms` of each row of `walk_minima`'s stacks, in place: (rates, weights), each (k, N).
+    """The walk terms of each row of `walk_minima`'s stacks, the one cluster rule: (rates, weights), each (k, N).
 
-    A cluster's term sits in its first column. Its other members, dropped terms and the padding
-    become rate 0 and weight 0, so the kept (positive-weight) terms, left to right, are merge_terms'.
+    Ascending eigenvalues within TOL_CLUSTER * scale of their neighbour, scale = max(1, the row's norm), form a
+    cluster. Its members are summed into its first column left to right, one pass per member offset, and its rate
+    is divided by their count. A term of weight at most TOL_WEIGHT * n is dropped: its pole is removable and must
+    not appear downstream. A rate within TOL_ZERO * n * scale of 0, `eigh`'s rounding error, is 0.0 exactly: float
+    noise must not put a pole near 1e16. Other members, dropped terms and padding become rate 0 and weight 0.
     """
+    cols = np.arange(vals.shape[1])
     scale = np.array([max(1.0, float(np.linalg.norm(v[:n]))) for v, n in zip(vals, sizes.tolist())])
-    start = np.arange(vals.shape[1]) >= sizes[:, None]      # each padded column is a term of its own
-    start[:, 0] = True
+    start = cols >= sizes[:, None]      # each padded column is a term of its own
+    start[:, :1] = True
     start[:, 1:] |= np.diff(vals, axis=1) > (TOL_CLUSTER * scale)[:, None]
-    rates, weights = np.where(start, vals, 0.0), np.where(start, overlaps, 0.0)
-    for i, j in np.argwhere(start[:, :-1] & ~start[:, 1:]).tolist():    # clusters of several members
-        stop = j + 1 + int(np.argmax(np.append(start[i, j + 1:], True)))
-        weights[i, j] = float(np.sum(overlaps[i, j:stop]))     # the calls and slices of merge_terms
-        rates[i, j] = float(np.mean(vals[i, j:stop]))
-    keep = weights > (TOL_WEIGHT * sizes)[:, None]
+    offset = cols - np.maximum.accumulate(np.where(start, cols, 0), axis=1)
+    rates, weights, count = vals.copy(), overlaps.copy(), np.ones(vals.shape)
+    for d in range(1, offset.max(initial=0) + 1):
+        member = offset[:, d:] == d
+        np.add(rates[:, :-d], vals[:, d:], out=rates[:, :-d], where=member)
+        np.add(weights[:, :-d], overlaps[:, d:], out=weights[:, :-d], where=member)
+        count[:, :-d][member] = d + 1
+    keep = start & (weights > (TOL_WEIGHT * sizes)[:, None])
+    rates = rates / count
     rates = np.where(keep & ~(np.abs(rates) <= (TOL_ZERO * sizes * scale)[:, None]), rates, 0.0)
     return rates, np.where(keep, weights, 0.0)
 

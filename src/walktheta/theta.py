@@ -4,13 +4,13 @@
 fixed A, min_t lambda_max(J - tA) equals the interval minimum of the
 walk-generating function (`optimal_scaling`); `extract_optimizer` turns that
 minimum into a certified point on the sphere <1, v> = |v|^2 with <v, A v> = 0.
+`submultiplicativity_check` minimises a grid of product walks as one stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -184,27 +184,20 @@ def _shifted_product(a_g, data_g, gamma_g, a_h, data_h, gamma_h) -> np.ndarray:
     return m + 0.0                          # -0.0 -> +0.0, as on a zero matrix filled on the edges
 
 
-def _product_walk(data_g, gamma_g, data_h, gamma_h) -> SimpleNamespace:
-    """Walk function of `_shifted_product`'s matrix from the factors' walk terms, no eigenvectors.
+def _product_stack(data_g, data_h, points) -> tuple:
+    """`spectral.walk_minima`'s (vals, overlaps) of `_shifted_product` at each (gamma_g, gamma_h) of points.
 
-    The all-ones vector is 1 (x) 1, so the terms pair the factors' terms: rates
-    (mu + gamma_g)(nu + gamma_h) - gamma_g*gamma_h, weights w_g*w_h, merged by
-    `spectral.merge_terms` at the scale of the full product spectrum. The extreme
-    eigenvalues are corner products of the factors' extremes, exactly: rounding is monotone.
-    Returns what `spectral.walk_minimum` reads: walk, n, lam_min and lam_max.
+    Row k holds the eigenvalues (mu + gamma_g)(nu + gamma_h) - gamma_g*gamma_h of points[k], sorted, and their
+    squared all-ones overlaps, the outer product of the factors' (1 = 1 (x) 1): no product is decomposed.
     """
-    _check_shift("gamma_g", data_g, gamma_g)
-    _check_shift("gamma_h", data_h, gamma_h)
-    shift = gamma_g * gamma_h
-    f_g, f_h = data_g.walk, data_h.walk
-    terms = sorted(((mu + gamma_g) * (nu + gamma_h) - shift, w_g * w_h)
-                   for mu, w_g in zip(f_g.rates, f_g.weights) for nu, w_h in zip(f_h.rates, f_h.weights))
-    corners = [(mu + gamma_g) * (nu + gamma_h) - shift
-               for mu in (data_g.lam_min, data_g.lam_max) for nu in (data_h.lam_min, data_h.lam_max)]
-    norm = float(np.linalg.norm(np.outer(data_g.eigenvalues + gamma_g, data_h.eigenvalues + gamma_h) - shift))
-    n = data_g.n * data_h.n
-    walk = spectral.merge_terms([r for r, _ in terms], [w for _, w in terms], n, max(1.0, norm))
-    return SimpleNamespace(walk=walk, n=n, lam_min=min(corners), lam_max=max(corners))
+    for gg, gh in points:
+        _check_shift("gamma_g", data_g, gg)
+        _check_shift("gamma_h", data_h, gh)
+    gg, gh = np.array(points, dtype=float).T[:, :, None, None]
+    vals = ((data_g.eigenvalues[:, None] + gg) * (data_h.eigenvalues + gh) - gg * gh).reshape(len(points), -1)
+    overlaps = np.outer(*((np.ones(d.n) @ d.eigenvectors) ** 2 for d in (data_g, data_h))).ravel()
+    order = np.argsort(vals, axis=1, kind="stable")
+    return np.take_along_axis(vals, order, axis=1), overlaps[order]
 
 
 def _product_spectrum(data_g, gamma_g, data_h, gamma_h) -> tuple:
@@ -254,8 +247,9 @@ def submultiplicativity_check(g: Graph, h: Graph, seed: int = 0) -> tuple:
     of the factors' interval minima. Also checks the factorization identity
     W_product(-1/(gamma_g*gamma_h)) = W_g(-1/gamma_g) * W_h(-1/gamma_h)
     at N_RANDOM random valid shift pairs, the left sides by one batched
-    solve of its definition. Only the factors are decomposed: each grid
-    product's walk function pairs the factors' walk terms, and the product
+    solve of its definition. Only the factors are decomposed: the grid's
+    product spectra form one stack (`_product_stack`), minimised by one
+    `spectral.walk_minima` call on [1/lam_min, 1/lam_max], and the product
     eigenpairs u (x) v must pass the residual check against the product
     matrix at the grid point that sets lhs (LinAlgError otherwise).
     """
@@ -268,9 +262,12 @@ def submultiplicativity_check(g: Graph, h: Graph, seed: int = 0) -> tuple:
     rhs = spectral.walk_minimum(data_g).value * spectral.walk_minimum(data_h).value
     grid_h = _valid_gamma_samples(data_h, GRID)
     points = [(gg, gh) for gg in _valid_gamma_samples(data_g, GRID) for gh in grid_h]
-    values = [spectral.walk_minimum(_product_walk(data_g, gg, data_h, gh)).value for gg, gh in points]
-    lhs = min(values)
-    gg, gh = points[values.index(lhs)]
+    vals, overlaps = _product_stack(data_g, data_h, points)
+    sizes = np.full(len(points), vals.shape[1])
+    # a zero product (both factors edgeless, or n = 0) has the constant walk n
+    values = spectral.walk_minima(vals, overlaps, sizes, 1.0 / vals[:, -1])[1] if vals.any() else 1.0 * sizes
+    k = int(np.argmin(values))
+    lhs, (gg, gh) = float(values[k]), points[k]
     spectral.check_eigenpairs(product(gg, gh), *_product_spectrum(data_g, gg, data_h, gh))
     rng = np.random.default_rng(seed)
     samples_g = _valid_gamma_samples(data_g, N_RANDOM, rng)

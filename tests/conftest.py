@@ -29,8 +29,9 @@ def cluster_graphs() -> list:
     """Graphs with repeated eigenvalues, the `bounds-clusters` case of tools/compare_outputs.py.
 
     K_n, six Kneser graphs (Kneser(9,3) has a 48-member cluster), Petersen, two strong products,
-    K_{6,6}, K_{10,10}, K_{5,5,5}, 30 circulants (disconnected ones keep a multi-member top cluster)
-    and a perfect matching on 24 vertices. The circulants are perfbench/inputs.py's rule.
+    K_{6,6}, K_{10,10}, K_{5,5,5}, 30 circulants (disconnected ones keep a multi-member top cluster),
+    a perfect matching on 24 vertices and 9 disjoint Petersen graphs (a kept 9-member top cluster).
+    The circulants are perfbench/inputs.py's rule.
     """
     def multipartite(*parts):
         part = [p for p, size in enumerate(parts) for _ in range(size)]
@@ -43,7 +44,8 @@ def cluster_graphs() -> list:
     graphs += [petersen, strong_product(c5, c5), strong_product(petersen, generate_named("complete", n=2))]
     graphs += [multipartite(6, 6), multipartite(10, 10), multipartite(5, 5, 5)]
     graphs += [circulant(rng, int(rng.integers(5, 41))) for _ in range(30)]
-    return graphs + [Graph(24, [(i, i + 1) for i in range(0, 24, 2)])]
+    graphs.append(Graph(24, [(i, i + 1) for i in range(0, 24, 2)]))
+    return graphs + [Graph(90, [(i + 10 * c, j + 10 * c) for c in range(9) for i, j in petersen.edges])]
 
 
 def circulant(rng: np.random.Generator, n: int) -> Graph:

@@ -210,19 +210,25 @@ def test_reports_make_one_eigh_and_one_eigvalsh_per_order(monkeypatch, eig_calls
     assert all(got.shape == m.shape and np.array_equal(got, m) for got, m in zip(tried, built))
 
 
+# CHUNK in the hypothesis tests that span chunks; test_chunk_size_does_not_change_the_output covers the real one
+SMALL_CHUNK = 16
+
+
 def json_lines(reports) -> list:
     return [json.dumps(r) for r in reports]
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), extra=st.integers(1, bounds.CHUNK + 10), empties=st.integers(1, 6))
+@given(seed=st.integers(0, 2 ** 32 - 1), extra=st.integers(1, SMALL_CHUNK + 10), empties=st.integers(1, 6))
 def test_reports_print_the_bytes_of_report_one_graph_at_a_time(seed, extra, empties):
     # more than one chunk of random graphs on at most 13 vertices, with isolated vertices and edgeless graphs
     rng = np.random.default_rng(seed)
-    graphs = [random_graph(rng) for _ in range(bounds.CHUNK + extra)]
+    graphs = [random_graph(rng) for _ in range(SMALL_CHUNK + extra)]
     for _ in range(empties):
         graphs.insert(int(rng.integers(len(graphs) + 1)), generate_named("empty", n=int(rng.integers(1, 8))))
-    assert json_lines(bounds.reports(graphs)) == json_lines(report(g) for g in graphs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "CHUNK", SMALL_CHUNK)
+        assert json_lines(bounds.reports(graphs)) == json_lines(report(g) for g in graphs)
 
 
 def test_reports_print_the_bytes_of_report_on_the_atlas_and_fixtures():
@@ -286,7 +292,7 @@ def reference_closed_form(data) -> tuple:
     if w1 <= 0.0:
         return None, False
     excess = max(0.0, n - w1)
-    if excess <= spectral.TOL_WEIGHT * n:
+    if excess <= bounds.EXCESS_TOL * n:
         excess = 0.0
     ratio = -lamn * excess / (lam1 * w1)
     condition = ratio <= 1.0 + bounds.CONDITION_TOL
@@ -307,7 +313,7 @@ def check_walk_minima_against_the_scalar_path(graphs):
     walk_minimum's value to 1e-13; its x has W'(x) >= 0 and W' < 0 four ulps left, unless x is within four
     ulps of 1/lam_min. The reports' walkgen, hoffman and closed_form equal the one-graph oracles."""
     datas = [eig_sym(adjacency(g)) for g in graphs if g.num_edges]
-    stacked = [column.tolist() for column in spectral.walk_minima(*walk_stacks(datas))]
+    stacked = [column.tolist() for column in spectral.walk_minima(*walk_stacks(datas), 0.0)]
     for i, data in enumerate(datas):
         x, value, *top = (column[i] for column in stacked)
         assert top == [data.walk.rates[-1], data.walk.weights[-1]], i
@@ -315,7 +321,7 @@ def check_walk_minima_against_the_scalar_path(graphs):
         ulps = 4 * np.spacing(abs(x))
         assert walk_slope(data, x) >= 0.0, i
         assert walk_slope(data, x - ulps) < 0.0 or x - 1.0 / data.lam_min <= ulps, i
-        alone = [column.tolist() for column in spectral.walk_minima(*walk_stacks([data]))]
+        alone = [column.tolist() for column in spectral.walk_minima(*walk_stacks([data]), 0.0)]
         assert alone == [[column[i]] for column in stacked], i
     walkgen = iter(stacked[1])
     datas = iter(datas)
@@ -330,10 +336,12 @@ def check_walk_minima_against_the_scalar_path(graphs):
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), extra=st.integers(1, bounds.CHUNK))
+@given(seed=st.integers(0, 2 ** 32 - 1), extra=st.integers(1, SMALL_CHUNK))
 def test_walk_minima_equals_the_scalar_search_on_random_graphs(seed, extra):
     rng = np.random.default_rng(seed)
-    check_walk_minima_against_the_scalar_path([random_graph(rng) for _ in range(bounds.CHUNK + extra)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "CHUNK", SMALL_CHUNK)
+        check_walk_minima_against_the_scalar_path([random_graph(rng) for _ in range(SMALL_CHUNK + extra)])
 
 
 def test_walk_minima_equals_the_scalar_search_on_atlas_fixtures_and_clusters():

@@ -477,10 +477,10 @@ def test_walk_search_failure_mid_chunk_exits_1_after_the_lines_before_it(capsys,
     assert code == 0
     real = spectral.walk_minima
 
-    def walk_minima(vals, overlaps, sizes):
+    def walk_minima(vals, overlaps, sizes, hi):
         if 20 in sizes:
             raise reciprocal.PoleProximityError(-0.25, -0.25)
-        return real(vals, overlaps, sizes)
+        return real(vals, overlaps, sizes, hi)
 
     monkeypatch.setattr(spectral, "walk_minima", walk_minima)
     code, out, err = run_cli(capsys, "bounds", str(corpus))
@@ -594,8 +594,8 @@ def test_public_api_census():
         "reciprocal": ["CriticalReport", "IntervalMin", "PoleProximityError", "ReciprocalSum", "central_strip",
                        "enumerate_critical_points", "has_critical_points", "verify_duality"],
         "spectral": ["SpectralData", "check_eigenpairs", "cluster_weights", "eig_sym", "eigh_checked",
-                     "extreme_eigenspace", "lambda_max_bracketed", "lambda_max_upper", "merge_terms",
-                     "walk_minima", "walk_minimum"],
+                     "extreme_eigenspace", "lambda_max_bracketed", "lambda_max_upper", "walk_minima",
+                     "walk_minimum"],
         "bounds": ["laplacian_bound", "report", "reports"],
         "independent_set": ["independence_number", "max_independent_set"],
         "theta": ["OptimizerVector", "ThetaEstimate", "extract_optimizer", "minimize_theta", "optimal_scaling",

@@ -19,25 +19,28 @@ DROPPED_INTERIOR_G6 = (
 
 
 def loop_cluster_weights(data, drop=True) -> tuple:
-    """Per-index cluster loop with np.sum/np.mean on every cluster: the oracle for cluster_weights.
+    """Per-index cluster loop, each cluster's members added left to right: the oracle for cluster_weights.
 
-    A representative within TOL_ZERO * n * scale of 0 is snapped to 0.0.
+    A cluster's rate is its summed eigenvalues over its member count; one within TOL_ZERO * n * scale of 0
+    is snapped to 0.0.
     """
-    vals = data.eigenvalues
+    vals = data.eigenvalues.tolist()
     n = len(vals)
     if n == 0:
         return ()
     scale = max(1.0, float(np.linalg.norm(vals)))
     tol_cluster = spectral.TOL_CLUSTER * scale
     tol_weight = spectral.TOL_WEIGHT * n if drop else -math.inf
-    overlaps = (np.ones(n) @ data.eigenvectors) ** 2
+    overlaps = ((np.ones(n) @ data.eigenvectors) ** 2).tolist()
     clusters = []
     start = 0
     for i in range(1, n + 1):
         if i == n or vals[i] - vals[i - 1] > tol_cluster:
-            members = slice(start, i)
-            weight = float(np.sum(overlaps[members]))
-            rep = float(np.mean(vals[members]))
+            weight, total = overlaps[start], vals[start]
+            for j in range(start + 1, i):
+                weight += overlaps[j]
+                total += vals[j]
+            rep = total / (i - start)
             if weight > tol_weight:
                 clusters.append((0.0 if abs(rep) <= spectral.TOL_ZERO * n * scale else rep, weight))
             start = i

@@ -544,9 +544,10 @@ def test_submultiplicativity_reads_product_eigenvectors_once(monkeypatch):
     lhs, _, _ = submultiplicativity_check(g, h)
     assert len(calls) == 1
     data_g, gg, data_h, gh = calls[0]
-    assert theta._product_walk(data_g, gg, data_h, gh) == theta._product_walk(eig_sym(adjacency(g)), gg,
-                                                                              eig_sym(adjacency(h)), gh)
-    assert spectral.walk_minimum(theta._product_walk(data_g, gg, data_h, gh)).value == lhs
+    vals, overlaps = theta._product_stack(data_g, data_h, [(gg, gh)])
+    fresh = theta._product_stack(eig_sym(adjacency(g)), eig_sym(adjacency(h)), [(gg, gh)])
+    assert np.array_equal(vals, fresh[0]) and np.array_equal(overlaps, fresh[1])
+    assert spectral.walk_minima(vals, overlaps, np.array([g.n * h.n]), 1.0 / vals[:, -1])[1].tolist() == [lhs]
 
 
 def test_submultiplicativity_builds_product_graph_once(monkeypatch):
@@ -558,25 +559,51 @@ def test_submultiplicativity_builds_product_graph_once(monkeypatch):
     assert len(built) == 0
 
 
-# --- grid products' walk functions from the factors' walk terms ---
+# --- grid products' walk functions from one stack of raw product spectra ---
 
 def assert_product_walk_matches_matrix_route(a_g, a_h, gamma_pairs) -> int:
-    """At each (gamma_g, gamma_h), the factor-term walk has the product matrix walk's term count,
-    extreme eigenvalues to 1e-12 of the norm and walk minimum to 1e-12 relative; its extremes and
-    order are exactly those of the full product eigenvalue vector. Returns the count of pairs."""
+    """Each row of the pairs' `_product_stack` ends at exactly the extremes of the full product eigenvalue
+    vector; its walk has the product matrix walk's term count, extreme eigenvalues to 1e-12 of the norm and,
+    from one `walk_minima` call on [1/lam_min, 1/lam_max], the walk minimum to 1e-12 relative. A zero row
+    (both factors edgeless) has a walk of no nonzero rate. Returns the count of pairs."""
     data_g, data_h = eig_sym(a_g), eig_sym(a_h)
-    for gg, gh in gamma_pairs:
-        derived = theta._product_walk(data_g, gg, data_h, gh)
-        vals, _ = theta._product_spectrum(data_g, gg, data_h, gh)
-        assert (derived.lam_min, derived.lam_max, derived.n) == (vals.min(), vals.max(), len(vals))
+    vals, overlaps = theta._product_stack(data_g, data_h, gamma_pairs)
+    sizes = np.full(len(gamma_pairs), vals.shape[1])
+    kept = spectral._walk_terms(vals, overlaps, sizes)[1] > 0.0
+    nonzero = vals.any(axis=1)
+    minima = iter(spectral.walk_minima(vals[nonzero], overlaps[nonzero], sizes[nonzero],
+                                       1.0 / vals[nonzero, -1])[1].tolist())
+    for (gg, gh), row, terms, zero in zip(gamma_pairs, vals, kept.sum(axis=1).tolist(), ~nonzero):
+        raw, _ = theta._product_spectrum(data_g, gg, data_h, gh)
+        assert (row[0], row[-1], len(row)) == (raw.min(), raw.max(), len(raw))
         m = theta._shifted_product(a_g, data_g, gg, a_h, data_h, gh)
         direct = eig_sym(m)
-        assert len(derived.walk.rates) == len(direct.walk.rates), (gg, gh)
-        for got, want in ((derived.lam_min, direct.lam_min), (derived.lam_max, direct.lam_max)):
+        assert terms == len(direct.walk.rates), (gg, gh)
+        for got, want in ((row[0], direct.lam_min), (row[-1], direct.lam_max)):
             assert abs(got - want) <= 1e-12 * max(1.0, float(np.linalg.norm(m))), (gg, gh)
-        got, want = spectral.walk_minimum(derived).value, spectral.walk_minimum(direct).value
+        if zero:
+            assert not any(direct.walk.rates), (gg, gh)
+            continue
+        got, want = next(minima), spectral.walk_minimum(direct).value
         assert abs(got - want) <= 1e-12 * abs(want), (gg, gh)
     return len(gamma_pairs)
+
+
+def test_walk_minima_reaches_x_above_0_on_product_rows():
+    """`walk_minima`'s hi = 1/lam_max admits minima at x > 0: 34 of C5 x C5's grid rows have one, each with a
+    gamma < 0, and every row's minimum equals the scalar `walk_minimum` of the same product spectrum to 1e-13."""
+    data = eig_sym(adjacency(generate_named("cycle", n=5)))
+    grid = theta._valid_gamma_samples(data, 8)
+    points = [(gg, gh) for gg in grid for gh in grid]
+    vals, overlaps = theta._product_stack(data, data, points)
+    xs, values, _, _ = spectral.walk_minima(vals, overlaps, np.full(len(points), 25), 1.0 / vals[:, -1])
+    assert (xs > 0.0).sum() == 34 and all(min(gg, gh) < 0.0 for (gg, gh), x in zip(points, xs) if x > 0.0)
+    for (gg, gh), x, value in zip(points, xs.tolist(), values.tolist()):
+        raw, vecs = theta._product_spectrum(data, gg, data, gh)
+        order = np.argsort(raw, kind="stable")
+        want = spectral.walk_minimum(spectral.SpectralData(raw[order], vecs[:, order]))
+        assert (want.x_star > 0.0) == (x > 0.0), (gg, gh)
+        assert value == pytest.approx(want.value, rel=1e-13, abs=0.0), (gg, gh)
 
 
 def test_product_walk_matches_matrix_route_on_verify_pairs(corpus):

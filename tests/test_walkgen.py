@@ -87,7 +87,7 @@ def test_one_signed_spectrum_has_no_interval_minimum():
     one_signed = [np.eye(3), -np.eye(3), np.diag([1.0, 2.0]), np.ones((2, 2)),
                   np.diag([0.0, 1.0]), np.diag([0.0, -1.0])]
     c5 = eig_sym(adjacency(generate_named("cycle", n=5)))
-    stacked = lambda m: spectral.walk_minima(*walk_stacks([c5, eig_sym(m)]))
+    stacked = lambda m: spectral.walk_minima(*walk_stacks([c5, eig_sym(m)]), 0.0)
     for m in one_signed:
         for solve in (lambda m: walk_minimum(eig_sym(m)), optimal_scaling, extract_optimizer, stacked):
             with pytest.raises(ValueError, match="has one sign") as exc:

@@ -47,6 +47,8 @@ clusters += [named("petersen"), strong_product(named("cycle", n=5), named("cycle
 clusters += [multipartite(6, 6), multipartite(10, 10), multipartite(5, 5, 5)]
 clusters += [inputs.circulant(rng, int(rng.integers(5, 41))) for _ in range(30)]
 clusters += [inputs.Graph(24, [(i, i + 1) for i in range(0, 24, 2)])]
+petersens = [(i + 10 * c, j + 10 * c) for c in range(9) for i, j in named("petersen").edges]
+clusters += [inputs.Graph(90, petersens)]
 inputs.write_lines(pathlib.Path(sys.argv[1], "clusters.g6"), [inputs.encode_graph6(g).decode("ascii") for g in clusters])
 golomb = inputs.generate_named("golomb")
 inputs.write_lines(pathlib.Path(sys.argv[1], "golomb.txt"),
@@ -60,7 +62,8 @@ CASES += [["bounds-edges", "bounds", "golomb.txt"],    # the edge-list reader
           # the 1,252 graphs on 1-7 vertices: many orders, edgeless graphs, chunk boundaries
           ["bounds-atlas", "bounds", "atlas.g6"],
           # repeated eigenvalues: K_n, Kneser graphs, strong products, complete multipartite graphs,
-          # circulants and a matching, with clusters of up to 48 members (Kneser(9,3))
+          # circulants, a matching and 9 disjoint Petersen graphs (a kept 9-member top cluster), with
+          # clusters of up to 48 members (Kneser(9,3))
           ["bounds-clusters", "bounds", "clusters.g6"],
           # 262 lines, then a truncated one: exit 2 after the 262 reports; 262 = 256 + 6 = 4 * 64 + 6,
           # so the error follows a chunk boundary at bounds.CHUNK = 64 and at 256
